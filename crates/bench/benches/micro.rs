@@ -1,7 +1,9 @@
 //! Criterion microbenches quantifying the costs the paper discusses:
 //! compression throughput, importance ranking, MTA solving, row
-//! scatter/gather, channel integration, and the management-overhead
-//! ablation across granularities (element vs row vs layer, Sec. III-A).
+//! scatter/gather, channel integration, the fleet-scale hot spots
+//! (channel, server fan-out, model divergence at 256 workers), and the
+//! management-overhead ablation across granularities (element vs row
+//! vs layer, Sec. III-A).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -9,11 +11,14 @@ use std::hint::black_box;
 use rog_compress::{CompressedRow, ErrorFeedback, TopKCodec};
 use rog_core::mta::mta_fraction;
 use rog_core::{
-    ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowId, RowPartition,
+    ImportanceMetric, ImportanceMode, RankScratch, RogServer, RogWorker, RogWorkerConfig, RowId,
+    RowPartition,
 };
+use rog_models::{Mlp, Task};
 use rog_net::{Channel, ChannelProfile, FlowSpec, Trace};
 use rog_tensor::rng::DetRng;
 use rog_tensor::Matrix;
+use rog_trainer::engine::common::relative_model_divergence;
 
 fn bench_compression(c: &mut Criterion) {
     let mut g = c.benchmark_group("compression");
@@ -189,6 +194,70 @@ fn bench_channel(c: &mut Criterion) {
     g.finish();
 }
 
+/// The three costs that grow with the worker count on a 256-worker,
+/// 4-shard fleet: channel integration over ≈900 concurrent flows on
+/// 1024 links, the server fanning one push out into 256 pending copies,
+/// and the final pairwise divergence over 256 paper-scale CRUDA models.
+fn bench_fleet_256(c: &mut Criterion) {
+    const WORKERS: usize = 256;
+    let mut g = c.benchmark_group("fleet_256");
+    let profile = ChannelProfile::outdoor();
+    let capacity = profile.generate(7, 300.0);
+    let links: Vec<Trace> = (0..4 * WORKERS as u64)
+        .map(|l| profile.generate_link(8 + l, 300.0))
+        .collect();
+    let mut ch = Channel::new(capacity, links);
+    // Flows far too large to finish: every call integrates all 900.
+    for k in 0..900 {
+        ch.start_flow(0.0, FlowSpec::new(k, vec![1 << 40; 4]));
+    }
+    g.bench_function("advance_until/900_flows_1024_links", |b| {
+        b.iter(|| {
+            let horizon = ch.now() + 0.05;
+            ch.advance_until(black_box(horizon)).len()
+        })
+    });
+
+    let mut rng = DetRng::new(6);
+    let dims = [40, 112, 80, 24];
+    let base = Mlp::new(&dims, Task::Classification, &mut rng);
+    let mut server = RogServer::new(base.params(), WORKERS, 4, ImportanceMetric::default());
+    let partition = RowPartition::of_params(base.params());
+    let rows: Vec<(RowId, Vec<f32>)> = (0..partition.n_rows())
+        .map(|i| {
+            let id = RowId(i);
+            let values = (0..partition.width(id))
+                .map(|_| rng.normal() as f32)
+                .collect();
+            (id, values)
+        })
+        .collect();
+    let mut iter = 0;
+    g.bench_function("server_on_push/256_workers_all_rows", |b| {
+        b.iter(|| {
+            iter += 1;
+            server.on_push(iter % WORKERS, iter as u64, black_box(&rows));
+        })
+    });
+
+    let models: Vec<Mlp> = (0..WORKERS)
+        .map(|_| {
+            let mut m = base.clone();
+            for p in m.params_mut() {
+                for v in p.as_mut_slice() {
+                    *v += (rng.normal() * 0.01) as f32;
+                }
+            }
+            m
+        })
+        .collect();
+    let refs: Vec<&Mlp> = models.iter().collect();
+    g.bench_function("model_divergence/256_cruda_paper", |b| {
+        b.iter(|| relative_model_divergence(black_box(&refs)))
+    });
+    g.finish();
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     // Fleet-scale event churn: a 256-worker run pushes and pops
     // millions of events, so heap growth and sift costs matter. The
@@ -319,6 +388,7 @@ criterion_group!(
     bench_mta,
     bench_row_plumbing,
     bench_channel,
+    bench_fleet_256,
     bench_event_queue,
     bench_wire_framing,
     bench_granularity_ablation

@@ -7,6 +7,8 @@
 //! is why partial (row-granular) transmission does not break consistency
 //! (paper Sec. III-B).
 
+use std::ops::Range;
+
 use rog_compress::{Codec, CodecChoice, CodecState, OneBitCodec, RowCodec};
 use rog_tensor::rng::DetRng;
 use rog_tensor::{ops, Matrix};
@@ -20,8 +22,14 @@ pub struct RogServer {
     n_workers: usize,
     threshold: u32,
     importance: ImportanceMetric,
-    /// `accum[r]` = averaged gradients pending for worker `r`.
-    accum: Vec<Vec<Matrix>>,
+    /// Averaged gradients pending per worker, row-major: row `i` owns
+    /// the contiguous block `accum_base[i] .. accum_base[i] + n_workers
+    /// × width(i)`, laid out `[worker][width]`, so a push fans out over
+    /// one span instead of one scattered copy per worker. Apart from
+    /// that fan-out, index it only through [`RogServer::accum_range`].
+    accum: Vec<f32>,
+    /// Start of each row's block in `accum`.
+    accum_base: Vec<usize>,
     /// `fresh[r][row]` = freshest iteration contributing to that cell
     /// (0 = no pending content).
     fresh: Vec<Vec<u64>>,
@@ -62,16 +70,21 @@ impl RogServer {
         assert!(n_workers > 0, "need at least one worker");
         let partition = RowPartition::of_params(params);
         assert!(partition.n_rows() > 0, "model has no rows");
-        let zero: Vec<Matrix> = params
-            .iter()
-            .map(|m| Matrix::zeros(m.rows(), m.cols()))
-            .collect();
         let widths = partition.widths().to_vec();
+        let accum_base: Vec<usize> = widths
+            .iter()
+            .scan(0, |next, &w| {
+                let base = *next;
+                *next += n_workers * w;
+                Some(base)
+            })
+            .collect();
         Self {
             n_workers,
             threshold,
             importance,
-            accum: vec![zero; n_workers],
+            accum: vec![0.0; n_workers * partition.total_elements()],
+            accum_base,
             fresh: vec![vec![0; partition.n_rows()]; n_workers],
             versions: RowVersionStore::new(n_workers, partition.n_rows()),
             codecs: vec![Codec::default(); n_workers],
@@ -85,6 +98,18 @@ impl RogServer {
             ranked_buf: Vec::new(),
             nonfinite_dropped: 0,
         }
+    }
+
+    /// Index range of `worker`'s pending copy of row `id` in `accum`.
+    fn accum_range(&self, worker: usize, id: RowId) -> Range<usize> {
+        let width = self.partition.width(id);
+        let start = self.accum_base[id.0] + worker * width;
+        start..start + width
+    }
+
+    /// `worker`'s pending copy of row `id`.
+    fn accum_row(&self, worker: usize, id: RowId) -> &[f32] {
+        &self.accum[self.accum_range(worker, id)]
     }
 
     /// Number of NaN/Inf gradient values zeroed at push ingest so far.
@@ -194,8 +219,9 @@ impl RogServer {
     /// Panics if `worker` is out of range.
     pub fn rejoin_worker(&mut self, worker: usize, iter: u64) {
         assert!(worker < self.n_workers, "worker out of range");
-        for m in &mut self.accum[worker] {
-            m.fill_zero();
+        for i in 0..self.partition.n_rows() {
+            let range = self.accum_range(worker, RowId(i));
+            self.accum[range].fill(0.0);
         }
         self.fresh[worker].fill(0);
         self.states[worker].reset();
@@ -246,11 +272,14 @@ impl RogServer {
                 }));
                 &sanitized
             };
+            let width = values.len();
+            let base = self.accum_base[id.0];
+            let block = &mut self.accum[base..base + self.n_workers * width];
             for r in 0..self.n_workers {
                 if !self.active[r] {
                     continue;
                 }
-                let dst = self.partition.row_mut(&mut self.accum[r], *id);
+                let dst = &mut block[r * width..(r + 1) * width];
                 for (d, v) in dst.iter_mut().zip(values) {
                     *d += v * inv;
                 }
@@ -282,8 +311,7 @@ impl RogServer {
         let mut scratch = std::mem::take(&mut self.scratch);
         mean_abs.clear();
         mean_abs.extend(
-            (0..self.partition.n_rows())
-                .map(|i| ops::mean_abs(self.partition.row(&self.accum[worker], RowId(i)))),
+            (0..self.partition.n_rows()).map(|i| ops::mean_abs(self.accum_row(worker, RowId(i)))),
         );
         self.importance.rank_into(
             ImportanceMode::Server,
@@ -322,7 +350,7 @@ impl RogServer {
         self.states[worker].planned_payload_bytes(
             &self.codecs[worker],
             id.0,
-            self.partition.row(&self.accum[worker], id),
+            self.accum_row(worker, id),
         )
     }
 
@@ -333,14 +361,11 @@ impl RogServer {
     pub fn commit_pull(&mut self, worker: usize, rows: &[RowId]) -> Vec<(RowId, Vec<f32>)> {
         rows.iter()
             .map(|&id| {
-                let row = self.partition.row(&self.accum[worker], id).to_vec();
+                let range = self.accum_range(worker, id);
                 let restored = self.states[worker]
-                    .compress(&self.codecs[worker], id.0, &row)
+                    .compress(&self.codecs[worker], id.0, &self.accum[range.clone()])
                     .decompress();
-                self.partition
-                    .row_mut(&mut self.accum[worker], id)
-                    .iter_mut()
-                    .for_each(|v| *v = 0.0);
+                self.accum[range].fill(0.0);
                 self.fresh[worker][id.0] = 0;
                 (id, restored)
             })
@@ -350,7 +375,7 @@ impl RogServer {
     /// Sum over rows of pending mean-|ḡ| for `worker` (diagnostic).
     pub fn pending_magnitude(&self, worker: usize) -> f32 {
         (0..self.partition.n_rows())
-            .map(|i| ops::mean_abs(self.partition.row(&self.accum[worker], RowId(i))))
+            .map(|i| ops::mean_abs(self.accum_row(worker, RowId(i))))
             .sum()
     }
 }
@@ -531,5 +556,168 @@ mod tests {
         s.on_push(0, 1, &[(RowId(0), vec![4.0, 8.0, 12.0])]);
         let m = s.pending_magnitude(3); // includes the 1/4-averaged row
         assert!((m - (1.0 + 2.0 + 3.0) / 3.0).abs() < 1e-6, "magnitude {m}");
+    }
+
+    /// Oracle for the pending-gradient bookkeeping: the layout the
+    /// row-major `accum` replaced, one scattered `Vec<Matrix>` copy per
+    /// worker, fanned out worker by worker.
+    struct NaivePending {
+        partition: RowPartition,
+        accum: Vec<Vec<Matrix>>,
+        fresh: Vec<Vec<u64>>,
+        active: Vec<bool>,
+    }
+
+    impl NaivePending {
+        fn new(params: &[Matrix], n_workers: usize) -> Self {
+            let partition = RowPartition::of_params(params);
+            let zero: Vec<Matrix> = params
+                .iter()
+                .map(|m| Matrix::zeros(m.rows(), m.cols()))
+                .collect();
+            Self {
+                accum: vec![zero; n_workers],
+                fresh: vec![vec![0; partition.n_rows()]; n_workers],
+                active: vec![true; n_workers],
+                partition,
+            }
+        }
+
+        fn push(&mut self, n: u64, rows: &[(RowId, Vec<f32>)]) {
+            let inv = 1.0 / self.active.iter().filter(|&&a| a).count().max(1) as f32;
+            for (id, values) in rows {
+                let values: Vec<f32> = values
+                    .iter()
+                    .map(|&v| if v.is_finite() { v } else { 0.0 })
+                    .collect();
+                for r in 0..self.accum.len() {
+                    if !self.active[r] {
+                        continue;
+                    }
+                    let dst = self.partition.row_mut(&mut self.accum[r], *id);
+                    for (d, v) in dst.iter_mut().zip(&values) {
+                        *d += v * inv;
+                    }
+                    self.fresh[r][id.0] = self.fresh[r][id.0].max(n);
+                }
+            }
+        }
+
+        fn drain(&mut self, worker: usize, rows: &[RowId]) {
+            for &id in rows {
+                self.partition
+                    .row_mut(&mut self.accum[worker], id)
+                    .fill(0.0);
+                self.fresh[worker][id.0] = 0;
+            }
+        }
+
+        fn rejoin(&mut self, worker: usize) {
+            for m in &mut self.accum[worker] {
+                m.fill_zero();
+            }
+            self.fresh[worker].fill(0);
+            self.active[worker] = true;
+        }
+
+        fn plan(&self, worker: usize, importance: &ImportanceMetric) -> Vec<RowId> {
+            let mean_abs: Vec<f32> = (0..self.partition.n_rows())
+                .map(|i| ops::mean_abs(self.partition.row(&self.accum[worker], RowId(i))))
+                .collect();
+            let mut ranked = Vec::new();
+            importance.rank_into(
+                ImportanceMode::Server,
+                &mean_abs,
+                &self.fresh[worker],
+                &mut RankScratch::default(),
+                &mut ranked,
+            );
+            ranked.retain(|id| self.fresh[worker][id.0] > 0);
+            ranked
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Deterministic row payload; `seed % 11 == 0` plants a NaN and an
+    /// infinity so the sanitizing path is exercised too.
+    fn payload(seed: u32, id: RowId, width: usize) -> Vec<f32> {
+        (0..width)
+            .map(|k| {
+                let h = (seed as usize * 31 + id.0 * 7 + k).wrapping_mul(2_654_435_761) % 1_000;
+                match (seed % 11, k) {
+                    (0, 0) => f32::NAN,
+                    (0, 1) => f32::INFINITY,
+                    _ => (h as f32 - 500.0) / 97.0,
+                }
+            })
+            .collect()
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        const W: usize = 5;
+
+        proptest! {
+            #[test]
+            fn row_major_pending_matches_per_worker_copies(
+                ops_raw in proptest::collection::vec(
+                    (0..8usize, 0..W, 0u64..64, 0u32..30_000),
+                    1..60,
+                )
+            ) {
+                let params = vec![Matrix::zeros(3, 4), Matrix::zeros(1, 5), Matrix::zeros(2, 1)];
+                let importance = ImportanceMetric::default();
+                let mut server = RogServer::new(&params, W, 4, importance);
+                let mut naive = NaivePending::new(&params, W);
+                let n_rows = server.partition.n_rows();
+                let picked = |mask: u64| (0..n_rows).filter(move |i| mask >> i & 1 == 1);
+                for &(kind, w, mask, seed) in &ops_raw {
+                    let iter = 1 + u64::from(seed % 29);
+                    match kind {
+                        0..=3 if server.is_active(w) => {
+                            let rows: Vec<(RowId, Vec<f32>)> = picked(mask)
+                                .map(|i| (RowId(i), payload(seed, RowId(i), server.partition.width(RowId(i)))))
+                                .collect();
+                            server.on_push(w, iter, &rows);
+                            naive.push(iter, &rows);
+                        }
+                        4 | 5 => {
+                            let plan = server.plan_pull(w);
+                            prop_assert_eq!(&plan, &naive.plan(w, &importance));
+                            let rows: Vec<RowId> =
+                                plan.into_iter().filter(|id| mask >> id.0 & 1 == 1).collect();
+                            server.commit_pull(w, &rows);
+                            naive.drain(w, &rows);
+                        }
+                        6 => {
+                            server.deactivate_worker(w);
+                            naive.active[w] = false;
+                        }
+                        7 => {
+                            server.rejoin_worker(w, iter);
+                            naive.rejoin(w);
+                        }
+                        _ => {}
+                    }
+                    for r in 0..W {
+                        for i in 0..n_rows {
+                            let id = RowId(i);
+                            prop_assert_eq!(
+                                bits(server.accum_row(r, id)),
+                                bits(naive.partition.row(&naive.accum[r], id)),
+                                "worker {} row {}", r, i
+                            );
+                        }
+                        prop_assert_eq!(&server.fresh[r], &naive.fresh[r]);
+                        prop_assert_eq!(server.is_active(r), naive.active[r]);
+                    }
+                }
+            }
+        }
     }
 }

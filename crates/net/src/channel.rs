@@ -226,7 +226,15 @@ impl Flow {
 pub struct Channel {
     capacity: Trace,
     links: Vec<Trace>,
-    flows: BTreeMap<FlowId, Flow>,
+    /// In-flight flows in `FlowId` order (ids are handed out in
+    /// increasing order, so starting a flow appends).
+    flows: Vec<(FlowId, Flow)>,
+    /// Per-flow rate of the current integration segment, parallel to
+    /// `flows`; reused across segments.
+    rates: Vec<f64>,
+    /// Per-flow exact finish time of the current segment, parallel to
+    /// `flows`; reused across segments.
+    fins: Vec<Time>,
     now: Time,
     next_id: u64,
     useful_bytes: f64,
@@ -252,7 +260,9 @@ impl Channel {
         Self {
             capacity,
             links,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            rates: Vec::new(),
+            fins: Vec::new(),
             now: 0.0,
             next_id: 0,
             useful_bytes: 0.0,
@@ -443,7 +453,7 @@ impl Channel {
         }
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push((
             id,
             Flow {
                 link: spec.link,
@@ -453,13 +463,18 @@ impl Channel {
                 started_at: self.now,
                 fates: Vec::new(),
             },
-        );
+        ));
         id
+    }
+
+    fn flow_index(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |&(fid, _)| fid).ok()
     }
 
     /// Time a flow has spent in flight so far.
     pub fn flow_age(&self, id: FlowId) -> Option<Time> {
-        self.flows.get(&id).map(|f| self.now - f.started_at)
+        self.flow_index(id)
+            .map(|i| self.now - self.flows[i].1.started_at)
     }
 
     /// Tears down an in-flight flow at the current channel time (the
@@ -473,7 +488,7 @@ impl Channel {
     /// (outcome [`FlowOutcome::Cancelled`]), or `None` if the flow is
     /// unknown or already finished — cancelling twice is harmless.
     pub fn cancel_flow(&mut self, id: FlowId) -> Option<FlowEvent> {
-        let f = self.flows.remove(&id)?;
+        let (_, f) = self.flows.remove(self.flow_index(id)?);
         self.wasted_bytes += f.bytes_done;
         self.offered_bytes += f.bytes_done;
         Some(FlowEvent {
@@ -554,100 +569,104 @@ impl Channel {
                 self.now = t;
                 return events;
             }
-            // Segment of constant rates: bounded by trace breakpoints.
-            let mut seg_end = t.min(self.capacity.next_breakpoint_after(self.now));
-            for f in self.flows.values() {
-                if let Some(link) = self.links.get(f.link) {
-                    seg_end = seg_end.min(link.next_breakpoint_after(self.now));
-                }
+            let now = self.now;
+            // Segment of constant rates, bounded by trace breakpoints;
+            // each flow's link factor is parked in `rates` on the way.
+            let mut seg_end = t.min(self.capacity.next_breakpoint_after(now));
+            self.rates.clear();
+            for (_, f) in &self.flows {
+                let factor = match self.links.get(f.link) {
+                    Some(link) => {
+                        seg_end = seg_end.min(link.next_breakpoint_after(now));
+                        link.value_at(now)
+                    }
+                    None => 1.0,
+                };
+                self.rates.push(factor);
             }
             // Constant per-flow rates in this segment.
             let n = self.flows.len() as f64;
-            let cap = self.capacity.value_at(self.now);
-            let rates: BTreeMap<FlowId, f64> = match self.sharing {
-                SharingMode::AirtimeFair => self
-                    .flows
-                    .iter()
-                    .map(|(&id, f)| (id, cap * self.link_factor(f.link, self.now) / 8.0 / n))
-                    .collect(),
+            let cap = self.capacity.value_at(now);
+            match self.sharing {
+                SharingMode::AirtimeFair => {
+                    for r in &mut self.rates {
+                        *r = cap * *r / 8.0 / n;
+                    }
+                }
                 SharingMode::ThroughputFair => {
                     // Rate anomaly: equal per-flow throughput set by the
                     // harmonic mean of the stations' PHY rates.
                     let inv_sum: f64 = self
-                        .flows
-                        .values()
-                        .map(|f| 1.0 / (cap * self.link_factor(f.link, self.now)).max(1e-3))
+                        .rates
+                        .iter()
+                        .map(|&factor| 1.0 / (cap * factor).max(1e-3))
                         .sum();
-                    let common = 1.0 / inv_sum / 8.0;
-                    self.flows.keys().map(|&id| (id, common)).collect()
-                }
-            };
-            // Exact per-flow finish times, and the earliest event inside
-            // the segment.
-            let fins: BTreeMap<FlowId, Time> = self
-                .flows
-                .iter()
-                .map(|(&id, f)| {
-                    let rate = rates[&id];
-                    let fin = if rate > 0.0 {
-                        self.now + f.remaining().max(0.0) / rate
-                    } else {
-                        f64::INFINITY
-                    };
-                    (id, fin)
-                })
-                .collect();
-            let mut t_event = f64::INFINITY;
-            for (&id, f) in &self.flows {
-                t_event = t_event.min(fins[&id]);
-                if let Some(d) = f.deadline {
-                    t_event = t_event.min(d.max(self.now));
+                    self.rates.fill(1.0 / inv_sum / 8.0);
                 }
             }
+            // Exact per-flow finish times, and the earliest event inside
+            // the segment.
+            let mut t_event = f64::INFINITY;
+            self.fins.clear();
+            for ((_, f), &rate) in self.flows.iter().zip(&self.rates) {
+                let fin = if rate > 0.0 {
+                    now + f.remaining().max(0.0) / rate
+                } else {
+                    f64::INFINITY
+                };
+                t_event = t_event.min(fin);
+                if let Some(d) = f.deadline {
+                    t_event = t_event.min(d.max(now));
+                }
+                self.fins.push(fin);
+            }
             let step_to = seg_end.min(t_event);
-            let dt = (step_to - self.now).max(0.0);
-            for (id, f) in self.flows.iter_mut() {
-                if fins[id] <= step_to + EPS {
+            let dt = (step_to - now).max(0.0);
+            self.now = step_to;
+            let is_done = |f: &Flow| {
+                f.remaining() <= BYTE_TOL || f.deadline.is_some_and(|d| step_to >= d - EPS)
+            };
+            let mut any_done = false;
+            let moving = self.flows.iter_mut().zip(&self.fins).zip(&self.rates);
+            for (((_, f), &fin), &rate) in moving {
+                if fin <= step_to + EPS {
                     // Snap to exact completion: floating-point increments
                     // can otherwise fall below the ulp of `bytes_done`
                     // and stall the integration forever.
                     f.bytes_done = f.total() as f64;
                 } else {
-                    f.bytes_done = (f.bytes_done + rates[id] * dt).min(f.total() as f64);
+                    f.bytes_done = (f.bytes_done + rate * dt).min(f.total() as f64);
                 }
-            }
-            self.now = step_to;
-            // Draw loss fates for chunks the fluid model just
-            // completed, in FlowId order (deterministic: single
-            // integration thread, ordered map).
-            if let Some(model) = self.loss.as_mut() {
-                for f in self.flows.values_mut() {
+                // Draw loss fates for chunks the fluid model just
+                // completed, in FlowId order (deterministic: single
+                // integration thread, ordered flows).
+                if let Some(model) = self.loss.as_mut() {
                     let done = f.chunks_done();
                     while f.fates.len() < done {
                         f.fates.push(model.chunk_fate(f.link, step_to));
                     }
                 }
+                any_done |= is_done(f);
             }
-            // Collect events at this instant.
-            let done_ids: Vec<FlowId> = self
-                .flows
-                .iter()
-                .filter(|(_, f)| {
-                    f.remaining() <= BYTE_TOL || f.deadline.is_some_and(|d| self.now >= d - EPS)
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for id in done_ids {
-                let f = self.flows.remove(&id).expect("flow exists");
+            if !any_done {
+                continue;
+            }
+            // Retire the flows with an event at this instant, in FlowId
+            // order.
+            let mut flows = std::mem::take(&mut self.flows);
+            flows.retain(|(id, f)| {
+                if !is_done(f) {
+                    return true;
+                }
                 let outcome = if f.remaining() <= BYTE_TOL {
                     let chunks_done = f.prefix.len() - 1;
-                    self.settle_chunks(id, &f, chunks_done);
+                    self.settle_chunks(*id, f, chunks_done);
                     self.offered_bytes += f.total() as f64;
                     FlowOutcome::Completed
                 } else {
                     let chunks_done = f.chunks_done();
                     let bytes_done = f.prefix[chunks_done];
-                    self.settle_chunks(id, &f, chunks_done);
+                    self.settle_chunks(*id, f, chunks_done);
                     self.wasted_bytes += f.bytes_done - bytes_done as f64;
                     self.offered_bytes += f.bytes_done;
                     FlowOutcome::DeadlineReached {
@@ -656,14 +675,14 @@ impl Channel {
                     }
                 };
                 events.push(FlowEvent {
-                    id,
-                    at: self.now,
+                    id: *id,
+                    at: step_to,
                     outcome,
                 });
-            }
-            if !events.is_empty() {
-                return events;
-            }
+                false
+            });
+            self.flows = flows;
+            return events;
         }
         self.now = self.now.max(t);
         events
@@ -1049,6 +1068,213 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Drives a busy channel through a fixed schedule and folds every
+    /// output into a fingerprint: the event stream `(id, at bits,
+    /// outcome)`, each delivery report, and the bits of the useful,
+    /// wasted, lost, corrupt and offered byte counters.
+    ///
+    /// 72 flows start at once on 48 links whose fade traces all have
+    /// different steps (one blacks out for a sample), so 24 links carry
+    /// two flows and draw loss fates for both from one stream. A third
+    /// of the flows carry deadlines, one is cancelled mid-flight, and a
+    /// new flow joins every few horizons, so the integration sees
+    /// hundreds of breakpoint segments with a changing active set.
+    fn pinned_scenario(sharing: SharingMode, lossy: bool) -> (u64, [u64; 5], usize) {
+        use crate::loss::{GeParams, LossConfig, LossModel};
+        const N_LINKS: usize = 48;
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (lcg >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let cap = Trace::from_samples(0.1, (0..37).map(|_| 20e6 + 100e6 * next()).collect());
+        let links = (0..N_LINKS)
+            .map(|l| {
+                let samples = (0..23)
+                    .map(|k| {
+                        if l == 5 && k == 3 {
+                            0.0
+                        } else {
+                            0.05 + 0.95 * next()
+                        }
+                    })
+                    .collect();
+                Trace::from_samples(0.043 + 0.0071 * l as f64, samples)
+            })
+            .collect();
+        let mut ch = Channel::new(cap, links).with_sharing(sharing);
+        if lossy {
+            let cfg = LossConfig {
+                seed: 99,
+                iid_loss: 0.05,
+                corrupt: 0.03,
+                duplicate: 0.02,
+                reorder: 0.02,
+                ge: Some(GeParams::bursty(0.1)),
+            };
+            ch.set_loss_model(Some(LossModel::build(&cfg, N_LINKS, 60.0)));
+        }
+        let mut n_started = 0usize;
+        let mut start = |ch: &mut Channel, next: &mut dyn FnMut() -> f64| {
+            let k = n_started;
+            n_started += 1;
+            let n_chunks = 1 + (next() * 12.0) as usize;
+            let chunks = (0..n_chunks)
+                .map(|_| 20_000 + (next() * 180_000.0) as u64)
+                .collect();
+            let mut spec = FlowSpec::new(k % N_LINKS, chunks);
+            if k % 3 == 1 {
+                spec = spec.with_deadline(ch.now() + 0.3 + 0.1 * (k % 10) as f64);
+            }
+            ch.start_flow(ch.now(), spec)
+        };
+        let ids: Vec<FlowId> = (0..72).map(|_| start(&mut ch, &mut next)).collect();
+        assert!(ch.active_flows() >= 64);
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut fold = |x: u64| {
+            for b in x.to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        let record = |ch: &mut Channel, ev: FlowEvent, fold: &mut dyn FnMut(u64)| {
+            fold(ev.id.0);
+            fold(ev.at.to_bits());
+            match ev.outcome {
+                FlowOutcome::Completed => fold(1),
+                FlowOutcome::DeadlineReached {
+                    chunks_done,
+                    bytes_done,
+                } => {
+                    fold(2);
+                    fold(chunks_done as u64);
+                    fold(bytes_done);
+                }
+                FlowOutcome::Cancelled { bytes_wasted } => {
+                    fold(3);
+                    fold(bytes_wasted);
+                }
+            }
+            if let Some(rep) = ch.take_report(ev.id) {
+                fold(rep.link as u64);
+                fold(rep.lost_bytes);
+                fold(rep.corrupt_bytes);
+                for f in rep.fates {
+                    fold(f as u64);
+                }
+            }
+        };
+        let mut n_events = 0usize;
+        for step in 1..=400u32 {
+            let horizon = f64::from(step) * 0.037;
+            loop {
+                let evs = ch.advance_until(horizon);
+                if evs.is_empty() {
+                    break;
+                }
+                for ev in evs {
+                    n_events += 1;
+                    record(&mut ch, ev, &mut fold);
+                }
+            }
+            if step == 9 {
+                let ev = ch.cancel_flow(ids[42]).expect("flow 42 is still in flight");
+                n_events += 1;
+                record(&mut ch, ev, &mut fold);
+            }
+            if step % 4 == 0 && step <= 200 {
+                start(&mut ch, &mut next);
+            }
+        }
+        while ch.active_flows() > 0 {
+            for ev in ch.advance_until(1e4) {
+                n_events += 1;
+                record(&mut ch, ev, &mut fold);
+            }
+        }
+        let counters = [
+            ch.useful_bytes().to_bits(),
+            ch.wasted_bytes().to_bits(),
+            ch.lost_bytes().to_bits(),
+            ch.corrupt_bytes().to_bits(),
+            ch.offered_bytes().to_bits(),
+        ];
+        (digest, counters, n_events)
+    }
+
+    /// Recorded on the `BTreeMap`-based integration that preceded the
+    /// scratch-vector rewrite of [`Channel::advance_until`]; any change
+    /// to the float operations or their order moves these bits.
+    #[test]
+    fn integration_is_pinned_bit_for_bit() {
+        let pins = [
+            (
+                SharingMode::AirtimeFair,
+                false,
+                0x7f88_caea_a4b1_0968,
+                [
+                    0x418a_c070_6000_0000,
+                    0x4139_954b_216e_709c,
+                    0,
+                    0,
+                    0x418b_8d1a_b90b_7385,
+                ],
+            ),
+            (
+                SharingMode::AirtimeFair,
+                true,
+                0xfa5a_0391_9896_c455,
+                [
+                    0x4186_165d_f000_0000,
+                    0x4139_954b_216e_709c,
+                    0x415e_5c93_8000_0000,
+                    0x413b_d000_0000_0000,
+                    0x418b_8d1a_b90b_7385,
+                ],
+            ),
+            (
+                SharingMode::ThroughputFair,
+                false,
+                0x461d_21a9_3d3b_377c,
+                [
+                    0x418a_8f14_9800_0000,
+                    0x4131_c432_ec85_6ac5,
+                    0,
+                    0,
+                    0x418b_1d36_2f64_2b56,
+                ],
+            ),
+            (
+                SharingMode::ThroughputFair,
+                true,
+                0xb4c7_9201_f120_6148,
+                [
+                    0x4185_cbd3_5800_0000,
+                    0x4131_c432_ec85_6ac5,
+                    0x415e_ffc5_c000_0000,
+                    0x413c_6911_0000_0000,
+                    0x418b_1d36_2f64_2b56,
+                ],
+            ),
+        ];
+        for (sharing, lossy, want_digest, want_counters) in pins {
+            let (digest, counters, n_events) = pinned_scenario(sharing, lossy);
+            assert_eq!(
+                n_events, 122,
+                "{sharing:?} lossy={lossy}: one event per flow"
+            );
+            assert_eq!(
+                counters, want_counters,
+                "{sharing:?} lossy={lossy}: useful/wasted/lost/corrupt/offered bits"
+            );
+            assert_eq!(
+                digest, want_digest,
+                "{sharing:?} lossy={lossy}: event stream"
+            );
+        }
     }
 
     #[test]

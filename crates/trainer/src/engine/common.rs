@@ -1,5 +1,7 @@
 //! Plumbing shared by the model- and row-granularity engines.
 
+use std::collections::HashMap;
+
 use rog_fault::{FaultClock, FaultEvent};
 use rog_models::{GradSet, Mlp, Workload};
 use rog_obs::{obs, EventKind, Journal};
@@ -339,11 +341,15 @@ impl EngineCtx {
 
 /// Maximum pairwise L2 distance between models, relative to the mean
 /// parameter norm (0 if fewer than two models).
+///
+/// # Panics
+///
+/// Panics if the models are not all shaped alike.
 pub fn relative_model_divergence(models: &[&Mlp]) -> f64 {
     if models.len() < 2 {
         return 0.0;
     }
-    let norm: f64 = models
+    let norms: Vec<f64> = models
         .iter()
         .map(|m| {
             m.params()
@@ -352,56 +358,129 @@ pub fn relative_model_divergence(models: &[&Mlp]) -> f64 {
                 .sum::<f64>()
                 .sqrt()
         })
-        .sum::<f64>()
-        / models.len() as f64;
-    let mut max_d = 0.0f64;
-    for i in 0..models.len() {
-        for j in (i + 1)..models.len() {
-            let d: f64 = models[i]
-                .params()
-                .iter()
-                .zip(models[j].params())
-                .map(|(a, b)| {
-                    a.as_slice()
-                        .iter()
-                        .zip(b.as_slice())
-                        .map(|(x, y)| f64::from(x - y).powi(2))
-                        .sum::<f64>()
-                })
-                .sum::<f64>()
-                .sqrt();
-            max_d = max_d.max(d);
-        }
-    }
-    max_d / norm.max(1e-12)
+        .collect();
+    let norm = norms.iter().sum::<f64>() / models.len() as f64;
+    let segments: Vec<Vec<&[f32]>> = models
+        .iter()
+        .map(|m| m.params().iter().map(|p| p.as_slice()).collect())
+        .collect();
+    max_pairwise_distance(&segments, &norms) / norm.max(1e-12)
 }
 
 /// [`relative_model_divergence`] on already-flattened parameter
 /// vectors (the live cluster ships models as flat `f32` slices).
 /// Mathematically identical: L2 over the concatenation equals L2 over
 /// the per-matrix decomposition.
+///
+/// # Panics
+///
+/// Panics if the models differ in length.
 pub fn relative_model_divergence_flat(models: &[&[f32]]) -> f64 {
     if models.len() < 2 {
         return 0.0;
     }
-    let norm: f64 = models
+    let norms: Vec<f64> = models
         .iter()
         .map(|m| m.iter().map(|&p| f64::from(p).powi(2)).sum::<f64>().sqrt())
-        .sum::<f64>()
-        / models.len() as f64;
+        .collect();
+    let norm = norms.iter().sum::<f64>() / models.len() as f64;
+    let segments: Vec<Vec<&[f32]>> = models.iter().map(|&m| vec![m]).collect();
+    max_pairwise_distance(&segments, &norms) / norm.max(1e-12)
+}
+
+/// Pairs of models measured side by side in [`max_pairwise_distance`].
+const LANES: usize = 8;
+
+/// Maximum L2 distance over all pairs of `models`, each given as its
+/// parameter segments; `keys` holds one value per model that is equal
+/// for bitwise-identical models.
+///
+/// Every pair's squared distance is summed element by element within a
+/// segment and segment by segment, each sum started from `-0.0` like
+/// `Iterator::sum`, so the result has the bits of the plain nested
+/// loop over pairs. Three things make it faster. Models are taken
+/// `LANES` at a time, interleaved element by element, and every other
+/// model is measured against all lanes in one pass: the additions form
+/// `LANES` independent chains instead of one serial chain, and the
+/// lanes stay in cache while the other models stream past once per
+/// block instead of once per pair. Bitwise-identical models are
+/// measured once, since their distances to every other model coincide.
+///
+/// # Panics
+///
+/// Panics if the models differ in shape.
+fn max_pairwise_distance(models: &[Vec<&[f32]>], keys: &[f64]) -> f64 {
+    let Some(first) = models.first() else {
+        return 0.0;
+    };
+    let shape: Vec<usize> = first.iter().map(|seg| seg.len()).collect();
+    assert!(
+        models
+            .iter()
+            .all(|m| m.iter().map(|seg| seg.len()).eq(shape.iter().copied())),
+        "models differ in shape"
+    );
+    let distinct = distinct_models(models, keys);
+    // Element `k` of lane `q` sits at `k * LANES + q`.
+    let mut lanes: Vec<f32> = Vec::new();
     let mut max_d = 0.0f64;
-    for i in 0..models.len() {
-        for j in (i + 1)..models.len() {
-            let d: f64 = models[i]
-                .iter()
-                .zip(models[j].iter())
-                .map(|(&x, &y)| f64::from(x - y).powi(2))
-                .sum::<f64>()
-                .sqrt();
-            max_d = max_d.max(d);
+    for (b, block) in distinct.chunks(LANES).enumerate() {
+        // A short final block repeats its last model in the spare
+        // lanes, whose results are ignored.
+        let lane = |q: usize| &models[block[q.min(block.len() - 1)]];
+        lanes.clear();
+        for (seg, &len) in shape.iter().enumerate() {
+            for k in 0..len {
+                lanes.extend((0..LANES).map(|q| lane(q)[seg][k]));
+            }
+        }
+        // Each distinct model before the block's last one pairs with
+        // the lanes that come after it.
+        let start = b * LANES;
+        for (pos, &i) in distinct[..start + block.len() - 1].iter().enumerate() {
+            let mut sums = [-0.0f64; LANES];
+            let mut rest = lanes.as_slice();
+            for a in &models[i] {
+                let (seg_lanes, tail) = rest.split_at(a.len() * LANES);
+                rest = tail;
+                let mut acc = [-0.0f64; LANES];
+                for (&x, ys) in a.iter().zip(seg_lanes.as_chunks::<LANES>().0) {
+                    for q in 0..LANES {
+                        acc[q] += f64::from(x - ys[q]).powi(2);
+                    }
+                }
+                for (sum, part) in sums.iter_mut().zip(acc) {
+                    *sum += part;
+                }
+            }
+            let from = (pos + 1).saturating_sub(start);
+            for d in &sums[from..block.len()] {
+                max_d = max_d.max(d.sqrt());
+            }
         }
     }
-    max_d / norm.max(1e-12)
+    max_d
+}
+
+/// Index of the first occurrence of every bitwise-distinct model, in
+/// order, for models alike in shape. `keys` only buckets the
+/// candidates; equality is decided on the bits.
+fn distinct_models(models: &[Vec<&[f32]>], keys: &[f64]) -> Vec<usize> {
+    let same_bits = |a: &[&[f32]], b: &[&[f32]]| {
+        a.iter()
+            .zip(b)
+            .all(|(x, y)| x.iter().zip(*y).all(|(p, q)| p.to_bits() == q.to_bits()))
+    };
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut distinct = Vec::new();
+    for (i, m) in models.iter().enumerate() {
+        let bucket = buckets.entry(keys[i].to_bits()).or_default();
+        if bucket.iter().all(|&j| !same_bits(&models[j], m)) {
+            bucket.push(i);
+            distinct.push(i);
+        }
+    }
+    distinct
 }
 
 #[cfg(test)]
@@ -438,6 +517,131 @@ mod tests {
         let (grads, mean_abs) = c.draw_grads(0, &model);
         assert_eq!(grads.len(), model.params().len());
         assert!(mean_abs > 0.0);
+    }
+
+    /// The plain nested loop over pairs that [`relative_model_divergence`]
+    /// must reproduce bit for bit.
+    fn naive_divergence(models: &[&Mlp]) -> f64 {
+        if models.len() < 2 {
+            return 0.0;
+        }
+        let norm: f64 = models
+            .iter()
+            .map(|m| {
+                m.params()
+                    .iter()
+                    .map(|p| f64::from(p.frobenius_norm()).powi(2))
+                    .sum::<f64>()
+                    .sqrt()
+            })
+            .sum::<f64>()
+            / models.len() as f64;
+        let mut max_d = 0.0f64;
+        for i in 0..models.len() {
+            for j in (i + 1)..models.len() {
+                let d: f64 = models[i]
+                    .params()
+                    .iter()
+                    .zip(models[j].params())
+                    .map(|(a, b)| {
+                        a.as_slice()
+                            .iter()
+                            .zip(b.as_slice())
+                            .map(|(x, y)| f64::from(x - y).powi(2))
+                            .sum::<f64>()
+                    })
+                    .sum::<f64>()
+                    .sqrt();
+                max_d = max_d.max(d);
+            }
+        }
+        max_d / norm.max(1e-12)
+    }
+
+    /// The plain nested loop behind [`relative_model_divergence_flat`].
+    fn naive_divergence_flat(models: &[&[f32]]) -> f64 {
+        if models.len() < 2 {
+            return 0.0;
+        }
+        let norm: f64 = models
+            .iter()
+            .map(|m| m.iter().map(|&p| f64::from(p).powi(2)).sum::<f64>().sqrt())
+            .sum::<f64>()
+            / models.len() as f64;
+        let mut max_d = 0.0f64;
+        for i in 0..models.len() {
+            for j in (i + 1)..models.len() {
+                let d: f64 = models[i]
+                    .iter()
+                    .zip(models[j].iter())
+                    .map(|(&x, &y)| f64::from(x - y).powi(2))
+                    .sum::<f64>()
+                    .sqrt();
+                max_d = max_d.max(d);
+            }
+        }
+        max_d / norm.max(1e-12)
+    }
+
+    /// `n` models of one architecture: every third repeats an earlier
+    /// one bit for bit, one differs from its twin only by a `-0.0`, and
+    /// from nine models on one carries a NaN.
+    fn oracle_models(n: usize) -> Vec<Mlp> {
+        let mut rng = DetRng::new(0xD1E5);
+        let mut base = Mlp::new(&[6, 11, 4], rog_models::Task::Classification, &mut rng);
+        base.params_mut()[0].as_mut_slice()[0] = 0.0;
+        let mut models: Vec<Mlp> = Vec::new();
+        for i in 0..n {
+            let model = if i % 3 == 2 {
+                models[i / 2].clone()
+            } else if i == 4 {
+                let mut twin = models[0].clone();
+                twin.params_mut()[0].as_mut_slice()[0] = -0.0;
+                twin
+            } else {
+                let mut m = base.clone();
+                for p in m.params_mut() {
+                    for v in p.as_mut_slice().iter_mut().skip(1) {
+                        *v += (rng.normal() * 0.05 * (i + 1) as f64) as f32;
+                    }
+                }
+                if i == 7 {
+                    m.params_mut()[1].as_mut_slice()[3] = f32::NAN;
+                }
+                m
+            };
+            models.push(model);
+        }
+        models
+    }
+
+    #[test]
+    fn divergence_matches_the_pairwise_oracle_bit_for_bit() {
+        for n in [0, 1, 2, 3, 7, 8, 9, 17] {
+            let models = oracle_models(n);
+            let refs: Vec<&Mlp> = models.iter().collect();
+            let fast = relative_model_divergence(&refs);
+            assert_eq!(fast.to_bits(), naive_divergence(&refs).to_bits(), "n = {n}");
+            let flats: Vec<Vec<f32>> = models
+                .iter()
+                .map(|m| {
+                    m.params()
+                        .iter()
+                        .flat_map(|p| p.as_slice().to_vec())
+                        .collect()
+                })
+                .collect();
+            let flat_refs: Vec<&[f32]> = flats.iter().map(Vec::as_slice).collect();
+            let fast_flat = relative_model_divergence_flat(&flat_refs);
+            assert_eq!(
+                fast_flat.to_bits(),
+                naive_divergence_flat(&flat_refs).to_bits(),
+                "flat, n = {n}"
+            );
+            if n >= 3 {
+                assert!(fast > 0.0, "n = {n}: distinct models must diverge");
+            }
+        }
     }
 
     #[test]

@@ -918,6 +918,12 @@ impl RowEngine {
         self.collect_intact(&ev, base, delivered_now, false, w, s);
         let sub = &mut self.workers[w].subs[s];
         sub.push_delivered += delivered_now;
+        debug_assert!(
+            sub.push_delivered <= sub.push_plan.len(),
+            "push leg of worker {w} on shard {s} counts {} delivered rows of {} planned",
+            sub.push_delivered,
+            sub.push_plan.len()
+        );
         if !cont && sub.push_delivered < sub.push_target {
             // Straggler this round: keep transmitting up to the target
             // (MTA plus any RSP-mandatory rows), without a deadline.
@@ -1301,6 +1307,12 @@ impl RowEngine {
         self.collect_intact(&ev, base, delivered_now, true, w, s);
         let sub = &mut self.workers[w].subs[s];
         sub.pull_delivered += delivered_now;
+        debug_assert!(
+            sub.pull_delivered <= sub.pull_plan.len(),
+            "pull leg of worker {w} on shard {s} counts {} delivered rows of {} planned",
+            sub.pull_delivered,
+            sub.pull_plan.len()
+        );
         if !cont && sub.pull_delivered < sub.pull_target {
             let rest: Vec<RowId> = sub.pull_plan[sub.pull_delivered..sub.pull_target].to_vec();
             let chunks: Vec<u64> = rest
@@ -1701,6 +1713,15 @@ impl RowEngine {
 
     fn on_worker_down(&mut self, w: usize, now: Time) {
         if self.ctx.offline[w] {
+            // Restarted but not yet resynced: the crash kills the resync
+            // too (its flow, its backoff, or the wait for a path), and
+            // the next restart begins a fresh one. A resync left running
+            // would complete beside that one and start a second
+            // training loop for the same worker.
+            self.cancel_flows_of(w);
+            self.clear_retx(w);
+            self.workers[w].resume = None;
+            self.ctx.set_state(w, now, DeviceState::Offline);
             return;
         }
         self.ctx.offline[w] = true;

@@ -42,6 +42,40 @@ fn faulted_runs_are_thread_count_invariant() {
     common::assert_identical_runs(&serial, &parallel, "faulted run, threads 1 vs 4");
 }
 
+/// A worker that crashes again while its rejoin resync is still on the
+/// air abandons that resync; only the one its next restart begins may
+/// complete. Every completed resync starts a training loop, so a stale
+/// one used to run a second loop beside the first, and their
+/// overlapping pushes double-counted delivered rows until the engine
+/// indexed past the push plan. Shrunk from a 1200 s CRIMP churn run
+/// (`--strategy rog:4 --seed 7 --fault-seed 7`) that panicked so.
+#[test]
+fn crash_during_resync_abandons_the_resync() {
+    for loss in [None, Some(LossConfig::iid(5, 0.1))] {
+        let mut cfg = base(Strategy::Rog { threshold: 4 });
+        cfg.loss = loss.clone();
+        cfg.fault_plan = Some(
+            FaultPlan::new()
+                .worker_offline(1, 30.0, 40.0)
+                .worker_offline(1, 40.001, 40.002),
+        );
+        let out = cfg.options().traced(true).run();
+        let journal = out.journal.expect("traced");
+        let resync_ends: Vec<f64> = journal
+            .events()
+            .filter(|e| matches!(e.kind, rog::obs::EventKind::ResyncEnd { w: 1, .. }))
+            .map(|e| e.t)
+            .collect();
+        assert_eq!(
+            resync_ends.len(),
+            1,
+            "loss {loss:?}: one rejoin completes, at {resync_ends:?}"
+        );
+        assert!(resync_ends[0] > 40.002, "loss {loss:?}: {resync_ends:?}");
+        assert!(out.metrics.mean_iterations > 0.0);
+    }
+}
+
 /// The robustness headline: under the same 60 s worker outage, ROG's
 /// dynamic membership keeps the survivor training with bounded stall,
 /// while BSP's static barrier blocks it for the whole outage.
