@@ -1,17 +1,14 @@
 //! Fleet-scale benchmark: runs the CRUDA-outdoor ROG workload at
-//! hundreds of workers, flat and through an edge-aggregator tier, and
-//! writes `BENCH_fleet.json`.
+//! hundreds of workers over a row-sharded parameter plane and writes
+//! `BENCH_fleet.json`.
 //!
-//! Two claims are quantified:
-//!
-//! 1. **The engine sustains fleet-scale worker counts.** Every cell
-//!    reports simulation progress as *sim-events per virtual second*
-//!    and the peak heap footprint of the sharded version store — both
-//!    deterministic functions of the config and seed, so the artifact
-//!    carries no wall-clock numbers and CI can byte-diff two runs of
-//!    the same invocation as a reproducibility check.
-//! 2. **Aggregation compresses upstream traffic.** Hierarchical cells
-//!    record merged vs raw row counts; the merge ratio must be ≤ 1.
+//! The claim quantified is that **the engine sustains fleet-scale
+//! worker counts.** Every cell reports simulation progress as
+//! *sim-events per virtual second* and the peak heap footprint of the
+//! sharded version store — both deterministic functions of the config
+//! and seed, so the artifact carries no wall-clock numbers and CI can
+//! byte-diff two runs of the same invocation as a reproducibility
+//! check.
 //!
 //! Every cell is run twice and the two outcomes are asserted
 //! byte-identical (`double_run_identity`).
@@ -71,10 +68,9 @@ fn run_outcomes(configs: &[ExperimentConfig]) -> Vec<RunOutcome> {
     })
 }
 
-fn cell_json(workers: usize, aggs: usize, dur: f64, m: &RunMetrics, st: &FleetStats) -> String {
+fn cell_json(workers: usize, dur: f64, m: &RunMetrics, st: &FleetStats) -> String {
     let mut s = String::from("    {\n");
     s.push_str(&format!("      \"workers\": {workers},\n"));
-    s.push_str(&format!("      \"aggregators\": {aggs},\n"));
     s.push_str(&format!("      \"name\": {:?},\n", m.name));
     s.push_str(&format!("      \"sim_events\": {},\n", st.sim_events));
     s.push_str(&format!(
@@ -89,13 +85,6 @@ fn cell_json(workers: usize, aggs: usize, dur: f64, m: &RunMetrics, st: &FleetSt
         "      \"peak_version_bytes\": {},\n",
         st.peak_version_bytes
     ));
-    s.push_str(&format!("      \"agg_flushes\": {},\n", st.agg_flushes));
-    s.push_str(&format!(
-        "      \"agg_upstream_rows\": {},\n",
-        st.agg_upstream_rows
-    ));
-    s.push_str(&format!("      \"agg_raw_rows\": {},\n", st.agg_raw_rows));
-    s.push_str(&format!("      \"agg_pulls\": {},\n", st.agg_pulls));
     s.push_str(&format!(
         "      \"mean_iterations\": {},\n",
         json_f64(m.mean_iterations)
@@ -112,7 +101,6 @@ fn main() {
     let quick = rog_bench::quick();
     let dur = if quick { 30.0 } else { 120.0 };
     let fleet_sizes: &[usize] = if quick { &[16, 64] } else { &[64, 256] };
-    let agg_counts: &[usize] = &[0, 8];
     let seed = arg_seed();
     // Paper-scale dataset: a fleet larger than the Small dataset's 150
     // samples could not give every worker a non-empty data shard.
@@ -130,24 +118,18 @@ fn main() {
 
     header(&format!(
         "Fleet scaling: CRUDA outdoor, {dur:.0} virtual s, seed {seed}, \
-         workers {fleet_sizes:?}, shards {N_SHARDS}, aggregators {agg_counts:?}"
+         workers {fleet_sizes:?}, shards {N_SHARDS}"
     ));
 
-    let mut labels: Vec<(usize, usize)> = Vec::new();
-    let mut configs: Vec<ExperimentConfig> = Vec::new();
-    for &workers in fleet_sizes {
-        for &aggs in agg_counts {
-            labels.push((workers, aggs));
-            // Every cell twice: the pair must be byte-identical.
-            for _ in 0..2 {
-                configs.push(ExperimentConfig {
-                    n_workers: workers,
-                    n_aggregators: aggs,
-                    ..base.clone()
-                });
-            }
-        }
-    }
+    // Every cell twice: the pair must be byte-identical.
+    let configs: Vec<ExperimentConfig> = fleet_sizes
+        .iter()
+        .flat_map(|&workers| [workers, workers])
+        .map(|n_workers| ExperimentConfig {
+            n_workers,
+            ..base.clone()
+        })
+        .collect();
     let outcomes = run_outcomes(&configs);
     let mut cells: Vec<RunOutcome> = Vec::new();
     let mut double_run_identity = true;
@@ -157,26 +139,19 @@ fn main() {
     }
 
     println!(
-        "{:>8} {:>5} {:>12} {:>14} {:>12} {:>12} {:>8}",
-        "workers", "aggs", "sim_events", "ev/virt_sec", "peak_ver_B", "agg_rows", "iters"
+        "{:>8} {:>12} {:>14} {:>12} {:>8}",
+        "workers", "sim_events", "ev/virt_sec", "peak_ver_B", "iters"
     );
-    for ((workers, aggs), out) in labels.iter().zip(&cells) {
+    for (workers, out) in fleet_sizes.iter().zip(&cells) {
         let st = &out.stats;
         println!(
-            "{workers:>8} {aggs:>5} {:>12} {:>14.0} {:>12} {:>12} {:>8.1}",
+            "{workers:>8} {:>12} {:>14.0} {:>12} {:>8.1}",
             st.sim_events,
             st.sim_events as f64 / dur,
             st.peak_version_bytes,
-            st.agg_upstream_rows,
             out.metrics.mean_iterations,
         );
     }
-
-    // Aggregation must never *expand* upstream traffic: merged rows are
-    // a dedup of the raw member rows absorbed in each window.
-    let merge_ok = cells
-        .iter()
-        .all(|o| o.stats.agg_upstream_rows <= o.stats.agg_raw_rows);
     println!(
         "\ndouble-run identity: {}",
         if double_run_identity {
@@ -194,12 +169,11 @@ fn main() {
     json.push_str(&format!(
         "  \"double_run_identity\": {double_run_identity},\n"
     ));
-    json.push_str(&format!("  \"merge_never_expands\": {merge_ok},\n"));
     json.push_str("  \"cells\": [\n");
-    let rows: Vec<String> = labels
+    let rows: Vec<String> = fleet_sizes
         .iter()
         .zip(&cells)
-        .map(|((w, a), out)| cell_json(*w, *a, dur, &out.metrics, &out.stats))
+        .map(|(&w, out)| cell_json(w, dur, &out.metrics, &out.stats))
         .collect();
     json.push_str(&rows.join(",\n"));
     json.push_str("\n  ]\n}\n");
@@ -209,9 +183,5 @@ fn main() {
     assert!(
         double_run_identity,
         "every fleet cell must be byte-identical across two runs of the same config"
-    );
-    assert!(
-        merge_ok,
-        "aggregator merge windows must not forward more rows than they absorbed"
     );
 }

@@ -130,7 +130,7 @@ USAGE:
          [--batch-scale <x>] [--eval-every <iters>] [--seed <n>]
          [--scale paper|small] [--mac airtime|anomaly]
          [--pipeline] [--auto-threshold] [--micro] [--shards <n>]
-         [--aggregators <n>] [--codec onebit|sparse|q2|q4|q8|auto]
+         [--codec onebit|sparse|q2|q4|q8|auto]
          [--fault-plan <file>] [--fault-seed <n>]
          [--loss <rate>] [--loss-burst <rate>] [--loss-seed <n>]
          [--corrupt <rate>]
@@ -139,11 +139,6 @@ USAGE:
 Sharding: --shards <n> row-shards the parameter server across n
 instances (ROG strategies only); --shards 1 is the default
 single-server engine and produces bit-identical results to it.
-
-Fleet topology: --aggregators <n> inserts n edge aggregators between
-the workers and the parameter-server shards (ROG strategies only);
---aggregators 0 is the default flat topology and produces
-bit-identical results to it. n must not exceed --workers.
 
 Row codec: --codec selects the push/pull payload encoder (ROG
 strategies only). onebit (default) is the paper's one-bit codec and
@@ -196,7 +191,7 @@ Subcommands:
       faults, loss) and replay each through the differential invariant
       harness: thread counts {1, 2, 8} must agree bitwise, progress,
       byte conservation, journal/metrics reconciliation, the RSP
-      staleness bound, and the shard-plane / aggregation-tree twins.
+      staleness bound, and the shard-plane twin.
       Failing scenarios are shrunk to minimal repros and written to
       --corpus. --replay re-checks existing .repro files instead of
       generating. --json writes the wall-clock-free campaign report;
@@ -446,11 +441,6 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
                     return Err(err("--shards expects a count >= 1"));
                 }
             }
-            "--aggregators" => {
-                cfg.n_aggregators = value()?
-                    .parse()
-                    .map_err(|_| err("--aggregators expects a count"))?;
-            }
             "--codec" => {
                 cfg.codec = value()?
                     .parse()
@@ -536,12 +526,6 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
             "--loss-seed requires --loss, --loss-burst or --corrupt",
         ));
     }
-    if cfg.n_aggregators > cfg.n_workers {
-        return Err(err(format!(
-            "--aggregators {} exceeds --workers {}",
-            cfg.n_aggregators, cfg.n_workers
-        )));
-    }
     if cfg.auto_threshold && matches!(cfg.strategy, Strategy::RogAdaptive { .. }) {
         return Err(err(
             "--auto-threshold conflicts with roga:<min>:<max> (the adaptive bound is \
@@ -552,7 +536,6 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
         || (!cfg.pipeline
             && !cfg.auto_threshold
             && cfg.n_shards <= 1
-            && cfg.n_aggregators == 0
             && cfg.codec == CodecChoice::OneBit)
     {
         Ok(CliRun {
@@ -563,7 +546,7 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
         })
     } else {
         Err(err(
-            "--pipeline/--auto-threshold/--shards/--aggregators/--codec apply to ROG \
+            "--pipeline/--auto-threshold/--shards/--codec apply to ROG \
              strategies only",
         ))
     }
@@ -696,8 +679,8 @@ mod tests {
 
     #[test]
     fn adaptive_strategy_knobs_validate() {
-        // The hybrid is row-granular: sharding and aggregators apply.
-        let run = parse(&args("--strategy roga:1:8 --shards 2 --aggregators 1")).expect("parses");
+        // The hybrid is row-granular: sharding applies.
+        let run = parse(&args("--strategy roga:1:8 --shards 2")).expect("parses");
         assert_eq!(run.config.n_shards, 2);
         // ...but stacking the stall-share controller on it is rejected.
         assert!(parse(&args("--strategy roga:1:8 --auto-threshold")).is_err());
@@ -712,6 +695,12 @@ mod tests {
         assert!(parse(&args("--duration")).is_err());
         assert!(parse(&args("--duration banana")).is_err());
         assert!(parse(&args("--workload quake")).is_err());
+        // An unknown flag is rejected by name.
+        let e = parse(&args("--strategy rog:4 --aggregators 2")).unwrap_err();
+        assert!(
+            e.to_string().starts_with("unknown flag '--aggregators'"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -733,26 +722,6 @@ mod tests {
         assert_eq!(parse(&[]).expect("empty").config.n_shards, 1);
         assert!(parse(&args("--strategy rog:4 --shards 0")).is_err());
         assert!(parse(&args("--strategy rog:4 --shards banana")).is_err());
-    }
-
-    #[test]
-    fn aggregators_flag_parses_into_the_config() {
-        let run = parse(&args("--strategy rog:4 --workers 8 --aggregators 2")).expect("parses");
-        assert_eq!(run.config.n_aggregators, 2);
-        assert_eq!(parse(&[]).expect("empty").config.n_aggregators, 0);
-        assert!(parse(&args("--strategy rog:4 --aggregators banana")).is_err());
-        assert!(
-            parse(&args("--strategy rog:4 --workers 2 --aggregators 3")).is_err(),
-            "more aggregators than workers is rejected at parse time"
-        );
-        assert!(
-            parse(&args("--strategy bsp --aggregators 2")).is_err(),
-            "aggregators are a ROG extension"
-        );
-        assert!(
-            parse(&args("--strategy bsp --aggregators 0")).is_ok(),
-            "zero aggregators is the plain flat topology"
-        );
     }
 
     #[test]

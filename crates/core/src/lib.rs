@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod aggregator;
 pub mod convergence;
 mod importance;
 pub mod mta;
@@ -41,7 +40,6 @@ mod shard;
 mod version;
 mod worker;
 
-pub use aggregator::{AggregatorMap, AggregatorPlane, AggregatorStats, MergeSummary};
 pub use importance::{ImportanceMetric, ImportanceMode, ImportanceWeights, RankScratch};
 pub use mta_time::MtaTimeTracker;
 pub use optimizer::{RogOptimizer, RogSession, StepReport};

@@ -23,11 +23,6 @@ pub enum FaultEvent {
     ServerDown(usize),
     /// Parameter-server shard `s` returns from its checkpoint.
     ServerUp(usize),
-    /// Edge aggregator `a` goes down, severing its member workers from
-    /// the parameter plane.
-    AggregatorDown(usize),
-    /// Edge aggregator `a` returns; severed members resume.
-    AggregatorUp(usize),
 }
 
 impl FaultEvent {
@@ -40,8 +35,6 @@ impl FaultEvent {
             FaultEvent::BlackoutEnd(_) => "blackout_end",
             FaultEvent::ServerDown(_) => "server_down",
             FaultEvent::ServerUp(_) => "server_up",
-            FaultEvent::AggregatorDown(_) => "agg_down",
-            FaultEvent::AggregatorUp(_) => "agg_up",
         }
     }
 
@@ -52,10 +45,7 @@ impl FaultEvent {
             | FaultEvent::WorkerUp(w)
             | FaultEvent::BlackoutStart(w)
             | FaultEvent::BlackoutEnd(w) => Some(w),
-            FaultEvent::ServerDown(_)
-            | FaultEvent::ServerUp(_)
-            | FaultEvent::AggregatorDown(_)
-            | FaultEvent::AggregatorUp(_) => None,
+            FaultEvent::ServerDown(_) | FaultEvent::ServerUp(_) => None,
         }
     }
 
@@ -63,14 +53,6 @@ impl FaultEvent {
     pub fn shard(self) -> Option<usize> {
         match self {
             FaultEvent::ServerDown(s) | FaultEvent::ServerUp(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The affected edge aggregator, if the event is aggregator-scoped.
-    pub fn aggregator(self) -> Option<usize> {
-        match self {
-            FaultEvent::AggregatorDown(a) | FaultEvent::AggregatorUp(a) => Some(a),
             _ => None,
         }
     }
@@ -83,11 +65,9 @@ impl FaultEvent {
             FaultEvent::WorkerUp(w) => (0, 0, w),
             FaultEvent::BlackoutEnd(w) => (0, 1, w),
             FaultEvent::ServerUp(s) => (0, 2, s),
-            FaultEvent::AggregatorUp(a) => (0, 3, a),
             FaultEvent::WorkerDown(w) => (1, 0, w),
             FaultEvent::BlackoutStart(w) => (1, 1, w),
             FaultEvent::ServerDown(s) => (1, 2, s),
-            FaultEvent::AggregatorDown(a) => (1, 3, a),
         }
     }
 }

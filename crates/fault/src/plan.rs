@@ -22,12 +22,6 @@ pub enum FaultKind {
     /// training rows homed elsewhere — until it returns. Shard state is
     /// durable (checkpointed). Unsharded runs use shard 0.
     ServerOutage(usize),
-    /// Edge aggregator `a` is down: every worker it fronts is severed
-    /// from the parameter plane (their flows are cancelled and they
-    /// stall, keeping local state) until the aggregator returns. Only
-    /// meaningful in a hierarchical run (`aggregators > 0`); engines
-    /// reject the window otherwise.
-    AggregatorOutage(usize),
 }
 
 /// A half-open interval `[start, end)` of virtual time during which a
@@ -211,7 +205,7 @@ impl FaultPlan {
             .iter()
             .filter_map(|w| match w.kind {
                 FaultKind::WorkerOffline(i) | FaultKind::LinkBlackout(i) => Some(i),
-                FaultKind::ServerOutage(_) | FaultKind::AggregatorOutage(_) => None,
+                FaultKind::ServerOutage(_) => None,
             })
             .chain(self.loss_windows.iter().map(|w| w.link))
             .max()
@@ -225,20 +219,6 @@ impl FaultPlan {
             .iter()
             .filter_map(|w| match w.kind {
                 FaultKind::ServerOutage(s) => Some(s),
-                _ => None,
-            })
-            .max()
-    }
-
-    /// Largest aggregator referenced by any aggregator-outage window,
-    /// if any. Engines validate this against the configured aggregator
-    /// count (and reject any such window in a flat run).
-    #[must_use]
-    pub fn max_aggregator(&self) -> Option<usize> {
-        self.windows
-            .iter()
-            .filter_map(|w| match w.kind {
-                FaultKind::AggregatorOutage(a) => Some(a),
                 _ => None,
             })
             .max()
@@ -301,24 +281,6 @@ impl FaultPlan {
             end,
         })
         .expect("valid server-outage window");
-        self
-    }
-
-    /// Adds an aggregator-outage window (builder style): edge
-    /// aggregator `a` and every worker it fronts are severed during
-    /// `[start, end)`. Windows on different aggregators may overlap.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-finite, negative, empty, or overlapping window.
-    #[must_use]
-    pub fn aggregator_outage(mut self, aggregator: usize, start: Time, end: Time) -> Self {
-        self.try_push(FaultWindow {
-            kind: FaultKind::AggregatorOutage(aggregator),
-            start,
-            end,
-        })
-        .expect("valid aggregator-outage window");
         self
     }
 
@@ -470,9 +432,6 @@ impl FaultPlan {
                     (FaultEvent::BlackoutStart(i), FaultEvent::BlackoutEnd(i))
                 }
                 FaultKind::ServerOutage(s) => (FaultEvent::ServerDown(s), FaultEvent::ServerUp(s)),
-                FaultKind::AggregatorOutage(a) => {
-                    (FaultEvent::AggregatorDown(a), FaultEvent::AggregatorUp(a))
-                }
             };
             events.push((w.start, down));
             events.push((w.end, up));

@@ -9,7 +9,6 @@
 //! offline 2 140 180
 //! blackout 1 60 75
 //! server-restart 1 200 210
-//! agg-restart 0 120 150
 //! loss 1 100 160 0.3
 //! ```
 //!
@@ -23,10 +22,6 @@
 //! The `loss <link> <t0> <t1> <rate>` directive adds `rate` extra
 //! chunk-loss probability on that worker's link during `[t0, t1)`;
 //! windows must not overlap per link and rates must be in `[0, 1]`.
-//!
-//! `agg-restart <aggregator> <t0> <t1>` takes one edge aggregator of a
-//! hierarchical run down, severing the workers it fronts; engines
-//! reject it when the run has no aggregation tier.
 
 use crate::plan::{FaultKind, FaultPlan, FaultPlanError, FaultWindow, LossWindow};
 
@@ -98,9 +93,6 @@ impl FaultPlan {
                 FaultKind::ServerOutage(s) => {
                     out.push_str(&format!("server-restart {} {} {}\n", s, w.start, w.end));
                 }
-                FaultKind::AggregatorOutage(a) => {
-                    out.push_str(&format!("agg-restart {} {} {}\n", a, w.start, w.end));
-                }
             }
         }
         for w in self.loss_windows() {
@@ -156,14 +148,6 @@ fn parse_line(fields: &[&str]) -> Result<(ScriptEntry, Option<String>), String> 
                 ),
             ));
         }
-        ["agg-restart", a, s, e] => ScriptEntry::Fault(FaultWindow {
-            kind: FaultKind::AggregatorOutage(
-                a.parse::<usize>()
-                    .map_err(|_| format!("bad aggregator index `{a}`"))?,
-            ),
-            start: num(s)?,
-            end: num(e)?,
-        }),
         ["loss", w, s, e, r] => ScriptEntry::Loss(LossWindow {
             link: index(w)?,
             start: num(s)?,
@@ -173,7 +157,7 @@ fn parse_line(fields: &[&str]) -> Result<(ScriptEntry, Option<String>), String> 
         [verb, ..] => {
             return Err(format!(
                 "unknown directive `{verb}` \
-                 (expected offline/blackout/server-restart/agg-restart/loss)"
+                 (expected offline/blackout/server-restart/loss)"
             ))
         }
         [] => unreachable!("blank lines filtered by caller"),
@@ -259,21 +243,6 @@ loss 3 0 600 0.05
     }
 
     #[test]
-    fn agg_restart_parses_and_round_trips() {
-        let plan =
-            FaultPlan::parse("agg-restart 1 120 150\nagg-restart 0 130 160").expect("agg form");
-        assert_eq!(plan.windows()[0].kind, FaultKind::AggregatorOutage(1));
-        assert_eq!(plan.windows()[1].kind, FaultKind::AggregatorOutage(0));
-        assert_eq!(plan.max_aggregator(), Some(1));
-        assert_eq!(plan.max_worker(), None, "aggregators are not workers");
-        assert_eq!(plan.max_shard(), None);
-        let again = FaultPlan::parse(&plan.to_script()).expect("round-trip");
-        assert_eq!(plan, again);
-        let err = FaultPlan::parse("agg-restart x 120 150").unwrap_err();
-        assert!(err.to_string().contains("bad aggregator index"), "{err}");
-    }
-
-    #[test]
     fn loss_only_script_round_trips() {
         let plan = FaultPlan::new()
             .link_loss(0, 5.0, 25.0, 0.125)
@@ -295,6 +264,11 @@ loss 3 0 600 0.05
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = FaultPlan::parse("offline 1 10").unwrap_err();
         assert!(err.to_string().contains("unknown directive"), "{err}");
+        let err = FaultPlan::parse("agg-restart 1 12 20").unwrap_err();
+        assert!(
+            err.to_string().contains("unknown directive `agg-restart`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -349,7 +323,7 @@ loss 3 0 600 0.05
         use rog_tensor::rng::DetRng;
 
         /// Builds a random — but valid — plan from one seed, exercising
-        /// every expressible directive: all four fault kinds plus loss
+        /// every expressible directive: all three fault kinds plus loss
         /// windows, with awkward fractional times and rates.
         fn random_plan(seed: u64) -> FaultPlan {
             let mut rng = DetRng::new(seed ^ 0x5eed_f007);
@@ -370,7 +344,7 @@ loss 3 0 600 0.05
                     _ => rng.uniform_range(1e-6, 60.0),
                 };
                 let idx = rng.index(8);
-                let res = match rng.index(5) {
+                let res = match rng.index(4) {
                     0 => plan.try_push(FaultWindow {
                         kind: FaultKind::WorkerOffline(idx),
                         start,
@@ -383,11 +357,6 @@ loss 3 0 600 0.05
                     }),
                     2 => plan.try_push(FaultWindow {
                         kind: FaultKind::ServerOutage(idx % 4),
-                        start,
-                        end: start + dur,
-                    }),
-                    3 => plan.try_push(FaultWindow {
-                        kind: FaultKind::AggregatorOutage(idx % 4),
                         start,
                         end: start + dur,
                     }),

@@ -22,15 +22,13 @@
 //!   `codec_select` events, every event names a live worker and a
 //!   known codec rung, and per worker no two consecutive selections
 //!   repeat (the engine never journals a no-op switch).
-//! * **Staleness** — without shard or aggregator outages, no gate
+//! * **Staleness** — without shard outages, no gate
 //!   event may record a lead beyond the model's *instantaneous*
 //!   staleness bound (static for BSP/SSP/ROG, replayed from the
 //!   journal's threshold-adaptation events for DSSP/ABS and the
 //!   adaptive-bound ROG hybrid).
-//! * **Topology twins** — `n_shards = 0` replays byte-identically to
-//!   `n_shards = 1` (the documented pre-shard identity), and a
-//!   hierarchical run matches its flat twin once aggregator accounting
-//!   records are stripped.
+//! * **Shard twin** — `n_shards = 0` replays byte-identically to
+//!   `n_shards = 1` (the documented pre-shard identity).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -79,8 +77,6 @@ pub enum Violation {
     CodecSelect(String),
     /// `n_shards = 0` diverged from `n_shards = 1`.
     ShardTwinDivergence(String),
-    /// The hierarchical run diverged from its flat twin.
-    HierarchyTwinDivergence(String),
 }
 
 impl Violation {
@@ -95,7 +91,6 @@ impl Violation {
             Violation::StalenessExceeded(_) => "staleness_exceeded",
             Violation::CodecSelect(_) => "codec_select",
             Violation::ShardTwinDivergence(_) => "shard_twin",
-            Violation::HierarchyTwinDivergence(_) => "hierarchy_twin",
         }
     }
 }
@@ -115,7 +110,6 @@ impl std::fmt::Display for Violation {
             Violation::StalenessExceeded(d) => write!(f, "staleness exceeded: {d}"),
             Violation::CodecSelect(d) => write!(f, "codec selection: {d}"),
             Violation::ShardTwinDivergence(d) => write!(f, "shard-0 vs shard-1 twin: {d}"),
-            Violation::HierarchyTwinDivergence(d) => write!(f, "hierarchical vs flat twin: {d}"),
         }
     }
 }
@@ -159,66 +153,6 @@ fn quiet_run(cfg: &ExperimentConfig) -> Result<RunOutcome, String> {
             "non-string panic payload".to_owned()
         }
     })
-}
-
-/// Field-by-field bit-exact comparison of two runs, ignoring the run
-/// name (twin topologies legitimately differ in their `+agg{n}` /
-/// `+shard{n}` name segments). Returns human-readable differences.
-fn metrics_diff_modulo_name(a: &RunMetrics, b: &RunMetrics) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if a.checkpoints != b.checkpoints {
-        diffs.push("checkpoints".to_owned());
-    }
-    if a.mean_iterations.to_bits() != b.mean_iterations.to_bits() {
-        diffs.push(format!(
-            "mean_iterations {} vs {}",
-            a.mean_iterations, b.mean_iterations
-        ));
-    }
-    if a.total_energy_j.to_bits() != b.total_energy_j.to_bits() {
-        diffs.push("total_energy_j".to_owned());
-    }
-    for (what, x, y) in [
-        ("useful_bytes", a.useful_bytes, b.useful_bytes),
-        ("wasted_bytes", a.wasted_bytes, b.wasted_bytes),
-        ("lost_bytes", a.lost_bytes, b.lost_bytes),
-        ("corrupt_bytes", a.corrupt_bytes, b.corrupt_bytes),
-        ("stall_secs", a.stall_secs, b.stall_secs),
-        ("offline_secs", a.offline_secs, b.offline_secs),
-    ] {
-        if x.to_bits() != y.to_bits() {
-            diffs.push(format!("{what} {x} vs {y}"));
-        }
-    }
-    if a.final_model_divergence != b.final_model_divergence {
-        diffs.push("final_model_divergence".to_owned());
-    }
-    diffs
-}
-
-/// Removes the `"seq":N,` field from one journal line (aggregator
-/// merge records consume sequence numbers, shifting later records).
-fn without_seq(line: &str) -> String {
-    let Some(i) = line.find("\"seq\":") else {
-        return line.to_owned();
-    };
-    let Some(j) = line[i..].find(',') else {
-        return line.to_owned();
-    };
-    format!("{}{}", &line[..i], &line[i + j + 1..])
-}
-
-/// Normalizes a journal for flat-vs-hierarchical comparison: drop
-/// `agg_merge` records and `seq` counters, erase the `+agg{n}` name
-/// segment — the same normalization the fleet-scale suite pins.
-fn normalized(journal: &str, aggs: usize) -> String {
-    journal
-        .replace(&format!("+agg{aggs}"), "")
-        .lines()
-        .filter(|l| !l.contains("\"ev\":\"agg_merge\""))
-        .map(without_seq)
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// The reconciliation block: journal replay must agree with the
@@ -311,17 +245,15 @@ enum StalenessBound {
 /// static for BSP/SSP/ROG, replayed from the `threshold_adapt` /
 /// `auto_threshold` event stream for the adaptive models. ASP is
 /// unbounded and FLOWN adapts without journaling its bound, so both
-/// are skipped, as are plans that take a shard or an aggregator down
-/// (a skipped shard legitimately ages rows past the bound — the
-/// engine's own watchdog excludes it too).
+/// are skipped, as are plans that take a shard down (a skipped shard
+/// legitimately ages rows past the bound — the engine's own watchdog
+/// excludes it too).
 fn check_staleness(sc: &Scenario, journal: &str, violations: &mut Vec<Violation>) {
     let plan = sc.fault_plan().expect("scenario script must be valid");
-    let outage = plan.windows().iter().any(|w| {
-        matches!(
-            w.kind,
-            FaultKind::ServerOutage(_) | FaultKind::AggregatorOutage(_)
-        )
-    });
+    let outage = plan
+        .windows()
+        .iter()
+        .any(|w| matches!(w.kind, FaultKind::ServerOutage(_)));
     if outage {
         return;
     }
@@ -537,61 +469,29 @@ pub fn check_scenario(sc: &Scenario) -> CheckOutcome {
     // --- codec-selector replay contract.
     check_codec_select(sc, &journal, &mut violations);
 
-    // --- topology twins (row-granular strategies only).
-    if sc.strategy.is_row_granular() {
-        if sc.n_shards == 1 {
-            // `n_shards: 0` is documented as "treated as 1"; the twin
-            // must be byte-identical, journal included.
-            match quiet_run(&ExperimentConfig {
-                n_shards: 0,
-                ..cfg.clone()
-            }) {
-                Err(e) => violations.push(Violation::ShardTwinDivergence(format!(
-                    "shard-0 twin panicked: {e}"
-                ))),
-                Ok(twin) => {
-                    if runs_to_json(std::slice::from_ref(&twin.metrics))
-                        != runs_to_json(std::slice::from_ref(m))
-                    {
-                        violations.push(Violation::ShardTwinDivergence(
-                            "serialized metrics differ".to_owned(),
-                        ));
-                    }
-                    if twin.journal.as_ref().expect("traced").to_jsonl() != journal {
-                        violations.push(Violation::ShardTwinDivergence(
-                            "journal bytes differ".to_owned(),
-                        ));
-                    }
+    // --- shard twin (row-granular strategies only): `n_shards: 0` is
+    // documented as "treated as 1"; the twin must be byte-identical,
+    // journal included.
+    if sc.strategy.is_row_granular() && sc.n_shards == 1 {
+        match quiet_run(&ExperimentConfig {
+            n_shards: 0,
+            ..cfg.clone()
+        }) {
+            Err(e) => violations.push(Violation::ShardTwinDivergence(format!(
+                "shard-0 twin panicked: {e}"
+            ))),
+            Ok(twin) => {
+                if runs_to_json(std::slice::from_ref(&twin.metrics))
+                    != runs_to_json(std::slice::from_ref(m))
+                {
+                    violations.push(Violation::ShardTwinDivergence(
+                        "serialized metrics differ".to_owned(),
+                    ));
                 }
-            }
-        }
-        let plan = sc.fault_plan().expect("scenario script must be valid");
-        let agg_outage = plan
-            .windows()
-            .iter()
-            .any(|w| matches!(w.kind, FaultKind::AggregatorOutage(_)));
-        if sc.n_aggregators > 0 && !agg_outage {
-            // The aggregator tier is pure accounting: the flat twin
-            // matches modulo the aggregator records and name segment.
-            match quiet_run(&ExperimentConfig {
-                n_aggregators: 0,
-                ..cfg.clone()
-            }) {
-                Err(e) => violations.push(Violation::HierarchyTwinDivergence(format!(
-                    "flat twin panicked: {e}"
-                ))),
-                Ok(flat) => {
-                    for d in metrics_diff_modulo_name(&flat.metrics, m) {
-                        violations.push(Violation::HierarchyTwinDivergence(d));
-                    }
-                    let flat_j = flat.journal.as_ref().expect("traced").to_jsonl();
-                    if normalized(&flat_j, sc.n_aggregators)
-                        != normalized(&journal, sc.n_aggregators)
-                    {
-                        violations.push(Violation::HierarchyTwinDivergence(
-                            "normalized journals differ".to_owned(),
-                        ));
-                    }
+                if twin.journal.as_ref().expect("traced").to_jsonl() != journal {
+                    violations.push(Violation::ShardTwinDivergence(
+                        "journal bytes differ".to_owned(),
+                    ));
                 }
             }
         }
@@ -619,7 +519,6 @@ mod tests {
             strategy: Strategy::Rog { threshold: 4 },
             n_workers: 2,
             n_shards: 1,
-            n_aggregators: 0,
             environment: Environment::Stable,
             duration_secs: 20.0,
             run_seed: 42,
@@ -643,7 +542,6 @@ mod tests {
             strategy: Strategy::Rog { threshold: 4 },
             n_workers: 2,
             n_shards: 1,
-            n_aggregators: 0,
             environment: Environment::Stable,
             duration_secs: 20.0,
             run_seed: 42,

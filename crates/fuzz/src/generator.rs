@@ -137,16 +137,11 @@ impl ScenarioGen {
         };
         let rog = strategy.is_row_granular();
 
-        // --- topology. Shards/aggregators only exist under the ROG row
-        // engine; the baselines ignore them, so sampling them there
-        // would only blur which knob a failing scenario actually needs.
+        // --- topology. Shards only exist under the ROG row engine; the
+        // baselines ignore them, so sampling them there would only blur
+        // which knob a failing scenario actually needs.
         let n_workers = 2 + rng.index(3);
         let n_shards = if rog { [1, 1, 2, 3][rng.index(4)] } else { 1 };
-        let n_aggregators = if rog && rng.chance(0.4) {
-            1 + rng.index(n_workers.min(2))
-        } else {
-            0
-        };
 
         let environment = [
             Environment::Stable,
@@ -211,9 +206,9 @@ impl ScenarioGen {
 
         // --- fault plan: windows over [prefix, 0.9 · duration], each
         // kind sampled within the ranges the engine validates against
-        // (worker < n_workers, shard < effective shards, aggregator <
-        // aggregator count). Same-kind overlaps are simply dropped —
-        // rejection sampling would skew window counts between kinds.
+        // (worker < n_workers, shard < effective shards). Same-kind
+        // overlaps are simply dropped — rejection sampling would skew
+        // window counts between kinds.
         let mut fault_rng = rng.fork(0x0fa1);
         let mut plan = FaultPlan::new();
         let n_windows = fault_rng.index(6);
@@ -222,8 +217,7 @@ impl ScenarioGen {
             let start = fault_rng.uniform_range(FAULT_FREE_PREFIX_SECS, last_start);
             let end = start + fault_rng.uniform_range(2.0, 15.0);
             let worker = fault_rng.index(n_workers);
-            let kinds = if n_aggregators > 0 { 5 } else { 4 };
-            let _ = match fault_rng.index(kinds) {
+            let _ = match fault_rng.index(4) {
                 0 => plan.try_push(FaultWindow {
                     kind: FaultKind::WorkerOffline(worker),
                     start,
@@ -239,16 +233,11 @@ impl ScenarioGen {
                     start,
                     end,
                 }),
-                3 => plan.try_push_loss(LossWindow {
+                _ => plan.try_push_loss(LossWindow {
                     link: worker,
                     start,
                     end,
                     rate: fault_rng.uniform_range(0.05, 0.9),
-                }),
-                _ => plan.try_push(FaultWindow {
-                    kind: FaultKind::AggregatorOutage(fault_rng.index(n_aggregators)),
-                    start,
-                    end,
                 }),
             };
         }
@@ -259,7 +248,6 @@ impl ScenarioGen {
             strategy,
             n_workers,
             n_shards,
-            n_aggregators,
             environment,
             duration_secs,
             run_seed,
@@ -299,9 +287,6 @@ mod tests {
             if let Some(s) = plan.max_shard() {
                 assert!(s < cfg.effective_shards(), "index {i}");
             }
-            if let Some(a) = plan.max_aggregator() {
-                assert!(a < cfg.effective_aggregators(), "index {i}");
-            }
             // No window opens inside the fault-free prefix.
             for w in plan.windows() {
                 assert!(w.start >= FAULT_FREE_PREFIX_SECS, "index {i}");
@@ -328,12 +313,10 @@ mod tests {
             Strategy::Bsp | Strategy::Ssp { .. } | Strategy::Asp | Strategy::Flown { .. }
         )));
         assert!(scenarios.iter().any(|s| s.n_shards > 1));
-        assert!(scenarios.iter().any(|s| s.n_aggregators > 0));
         assert!(scenarios.iter().any(|s| s.loss.is_some()));
         assert!(scenarios.iter().any(|s| s.loss.is_none()));
         assert!(scenarios.iter().any(|s| !s.script.is_empty()));
         assert!(scenarios.iter().any(|s| s.script.is_empty()));
-        assert!(scenarios.iter().any(|s| s.script.contains("agg-restart")));
         assert!(scenarios
             .iter()
             .any(|s| s.script.contains("server-restart")));
@@ -356,7 +339,7 @@ mod tests {
         assert!(scenarios
             .iter()
             .any(|s| matches!(s.strategy, Strategy::Rog { .. })));
-        // The hybrid is row-granular: sharded/aggregated topologies are
+        // The hybrid is row-granular: sharded topologies are
         // drawn for it, and everything still round-trips.
         assert!(scenarios
             .iter()

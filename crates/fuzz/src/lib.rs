@@ -2,10 +2,10 @@
 //! checking for the ROG simulator.
 //!
 //! The hand-written regression matrix covers seven scenarios; the
-//! space PRs 2–7 actually built — fault plans × loss configs × shard
-//! counts × aggregator topologies × sync models — is combinatorial,
-//! and correctness bugs hide in rare interleavings of loss and
-//! membership churn that no hand-picked matrix reaches. This crate
+//! space the simulator actually spans — fault plans × loss configs ×
+//! shard counts × sync models — is combinatorial, and correctness bugs
+//! hide in rare interleavings of loss and membership churn that no
+//! hand-picked matrix reaches. This crate
 //! turns the deterministic simulation into its own test oracle at
 //! scale, in three layers:
 //!
@@ -16,11 +16,11 @@
 //! * [`check_scenario`] — replays a scenario across compute-thread
 //!   counts and twin topologies, asserting thread-invariance, the
 //!   progress watchdog, byte-ledger sanity, journal↔metrics
-//!   reconciliation, the RSP staleness bound, and the shard/aggregator
-//!   identity twins; failures come back as data ([`Violation`]), never
+//!   reconciliation, the RSP staleness bound, and the shard identity
+//!   twin; failures come back as data ([`Violation`]), never
 //!   panics.
 //! * [`shrink`] — greedily minimizes a failing scenario (drop script
-//!   lines, clear loss/aggregators/shards/workers/duration) and hands
+//!   lines, clear loss/shards/workers/duration) and hands
 //!   back the smallest still-failing [`Scenario`], ready to be dumped
 //!   as a [`Scenario::to_repro`] artifact and checked into the
 //!   regression corpus (`tests/corpus/`).

@@ -63,8 +63,6 @@ pub struct Scenario {
     pub n_workers: usize,
     /// Parameter-server shards (ROG only; the config treats 0 as 1).
     pub n_shards: usize,
-    /// Edge aggregators (ROG only; 0 = flat).
-    pub n_aggregators: usize,
     /// Row codec (ROG only; one-bit elsewhere). Repro files omit the
     /// `codec` directive for the one-bit default, so legacy corpora
     /// parse unchanged and legacy-draw repro text stays byte-identical.
@@ -110,7 +108,6 @@ impl Scenario {
             n_workers: self.n_workers,
             n_laptop_workers: 0,
             n_shards: self.n_shards,
-            n_aggregators: self.n_aggregators,
             duration_secs: self.duration_secs,
             eval_every: 5,
             seed: self.run_seed,
@@ -121,16 +118,15 @@ impl Scenario {
         }
     }
 
-    /// Short display label ("seed 7 #12: ROG-4 w3 s2 a1").
+    /// Short display label ("seed 7 #12: ROG-4 w3 s2").
     pub fn label(&self) -> String {
         format!(
-            "seed {} #{}: {} w{} s{} a{}{} {:.0}s{}{}",
+            "seed {} #{}: {} w{} s{}{} {:.0}s{}{}",
             self.gen_seed,
             self.index,
             self.strategy.name(),
             self.n_workers,
             self.n_shards,
-            self.n_aggregators,
             if self.codec == CodecChoice::OneBit {
                 String::new()
             } else {
@@ -178,7 +174,6 @@ impl Scenario {
         out.push_str(&format!("strategy {strat}\n"));
         out.push_str(&format!("workers {}\n", self.n_workers));
         out.push_str(&format!("shards {}\n", self.n_shards));
-        out.push_str(&format!("aggregators {}\n", self.n_aggregators));
         // The one-bit default is implicit: legacy repro files (which
         // predate the directive) stay parseable and re-render
         // byte-identically.
@@ -214,7 +209,6 @@ impl Scenario {
         let mut strategy = None;
         let mut n_workers = None;
         let mut n_shards = None;
-        let mut n_aggregators = None;
         let mut codec = None;
         let mut environment = None;
         let mut duration_secs = None;
@@ -292,7 +286,6 @@ impl Scenario {
                 }
                 ["workers", v] => n_workers = Some(parse_usize(v)?),
                 ["shards", v] => n_shards = Some(parse_usize(v)?),
-                ["aggregators", v] => n_aggregators = Some(parse_usize(v)?),
                 ["codec", v] => {
                     codec = Some(v.parse::<CodecChoice>().map_err(|_| at("unknown codec"))?);
                 }
@@ -335,7 +328,6 @@ impl Scenario {
             strategy: strategy.ok_or_else(|| need("strategy"))?,
             n_workers: n_workers.ok_or_else(|| need("workers"))?,
             n_shards: n_shards.ok_or_else(|| need("shards"))?,
-            n_aggregators: n_aggregators.ok_or_else(|| need("aggregators"))?,
             // Absent in legacy corpora: default to the one-bit codec.
             codec: codec.unwrap_or(CodecChoice::OneBit),
             environment: environment.ok_or_else(|| need("environment"))?,
@@ -362,7 +354,6 @@ mod tests {
             strategy: Strategy::Rog { threshold: 4 },
             n_workers: 3,
             n_shards: 2,
-            n_aggregators: 1,
             codec: CodecChoice::OneBit,
             environment: Environment::Stable,
             duration_secs: 27.53125,
@@ -405,7 +396,6 @@ mod tests {
         let cfg = sample().config();
         assert_eq!(cfg.n_workers, 3);
         assert_eq!(cfg.n_shards, 2);
-        assert_eq!(cfg.n_aggregators, 1);
         assert_eq!(cfg.seed, 0xfeed);
         assert!(cfg.loss_active());
         assert_eq!(cfg.fault_plan.as_ref().map(|p| p.windows().len()), Some(1));
@@ -470,7 +460,7 @@ mod tests {
             CodecChoice::OneBit
         );
         assert!(
-            Scenario::parse(&text.replace("aggregators 1\n", "aggregators 1\ncodec banana\n"))
+            Scenario::parse(&text.replace("shards 2\n", "shards 2\ncodec banana\n"))
                 .unwrap_err()
                 .contains("unknown codec")
         );
@@ -480,6 +470,12 @@ mod tests {
     fn parse_rejects_garbage_with_location() {
         let err = Scenario::parse("gen-seed 1\nfrob 2\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        // A repro with an unknown directive is rejected, naming it.
+        let old = sample()
+            .to_repro()
+            .replace("shards 2\n", "shards 2\naggregators 1\n");
+        let err = Scenario::parse(&old).unwrap_err();
+        assert!(err.contains("unknown directive (`aggregators 1`)"), "{err}");
         let err = Scenario::parse(&sample().to_repro().replace("script-end\n", "")).unwrap_err();
         assert!(err.contains("unterminated"), "{err}");
         // A broken embedded fault script is caught at parse time with

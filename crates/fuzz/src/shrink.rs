@@ -2,8 +2,8 @@
 //!
 //! Given a failing [`Scenario`], [`shrink`] searches for the smallest
 //! scenario that still fails: it drops fault-script lines one at a
-//! time, then clears whole dimensions (loss, aggregators, shards,
-//! workers, duration), re-running the full differential check after
+//! time, then clears whole dimensions (loss, shards, workers,
+//! duration), re-running the full differential check after
 //! every candidate mutation and keeping only mutations that preserve
 //! the failure. The passes repeat until a fixpoint (or the replay
 //! budget runs out), so a line whose removal only becomes safe after
@@ -55,12 +55,6 @@ fn knob_candidates(sc: &Scenario) -> Vec<Scenario> {
             ..sc.clone()
         });
     }
-    if sc.n_aggregators > 0 {
-        out.push(Scenario {
-            n_aggregators: 0,
-            ..sc.clone()
-        });
-    }
     if sc.n_shards > 1 {
         out.push(Scenario {
             n_shards: 1,
@@ -83,9 +77,8 @@ fn knob_candidates(sc: &Scenario) -> Vec<Scenario> {
 }
 
 /// A knob candidate may strand script lines that referenced the
-/// removed dimension (an `agg-restart` after aggregators went, a
-/// worker index beyond the shrunk fleet, a shard beyond the shrunk
-/// plane). Those scenarios would fail the engine's plan validation for
+/// removed dimension (a worker index beyond the shrunk fleet, a shard
+/// beyond the shrunk plane). Those scenarios would fail the engine's plan validation for
 /// the wrong reason, so they are skipped rather than checked.
 fn plan_fits(sc: &Scenario) -> bool {
     let Ok(plan) = sc.fault_plan() else {
@@ -94,9 +87,6 @@ fn plan_fits(sc: &Scenario) -> bool {
     let cfg = sc.config();
     plan.max_worker().is_none_or(|w| w < cfg.n_workers)
         && plan.max_shard().is_none_or(|s| s < cfg.effective_shards())
-        && plan
-            .max_aggregator()
-            .is_none_or(|a| a < cfg.effective_aggregators())
 }
 
 /// Minimizes a failing scenario. Spends at most `max_replays`
@@ -183,7 +173,6 @@ mod tests {
             strategy: Strategy::Rog { threshold: 2 },
             n_workers: 3,
             n_shards: 2,
-            n_aggregators: 1,
             environment: Environment::Stable,
             duration_secs: 40.0,
             run_seed: 1,
@@ -214,15 +203,13 @@ mod tests {
             ge_mean: None,
         });
         let cands = knob_candidates(&s);
-        assert_eq!(cands.len(), 5);
+        assert_eq!(cands.len(), 4);
         assert!(cands.iter().any(|c| c.loss.is_none()));
-        assert!(cands.iter().any(|c| c.n_aggregators == 0));
         assert!(cands.iter().any(|c| c.n_shards == 1));
         assert!(cands.iter().any(|c| c.n_workers == 2));
         assert!(cands.iter().any(|c| c.duration_secs == 20.0));
         // A minimal scenario has nothing left to clear.
         let minimal = Scenario {
-            n_aggregators: 0,
             n_shards: 1,
             n_workers: 2,
             duration_secs: 20.0,
@@ -241,12 +228,12 @@ mod tests {
         };
         assert!(!plan_fits(&stranded));
         assert!(plan_fits(&sc("offline 2 10 20\n")));
-        // Aggregator outage without aggregators.
-        let no_aggs = Scenario {
-            n_aggregators: 0,
-            ..sc("agg-restart 0 10 20\n")
+        // Plane shrunk to 1 shard, but the script restarts shard 1.
+        let one_shard = Scenario {
+            n_shards: 1,
+            ..sc("server-restart 1 10 20\n")
         };
-        assert!(!plan_fits(&no_aggs));
-        assert!(plan_fits(&sc("agg-restart 0 10 20\n")));
+        assert!(!plan_fits(&one_shard));
+        assert!(plan_fits(&sc("server-restart 1 10 20\n")));
     }
 }

@@ -177,16 +177,6 @@ pub enum EventKind {
     /// MTA budget update for worker `w`: measured push time `secs`
     /// feeding the tracker, new per-push `budget` (s).
     Mta { w: u32, secs: f64, budget: f64 },
-    /// Edge aggregator `agg` flushed a merge window upstream: `rows`
-    /// distinct rows forwarded out of `raw` raw member rows absorbed
-    /// across `pushes` member pushes, carrying max row version `ver`.
-    AggMerge {
-        agg: u32,
-        rows: u32,
-        raw: u32,
-        pushes: u32,
-        ver: u64,
-    },
     /// Auto-threshold controller changed the staleness threshold.
     AutoThreshold { threshold: u32 },
     /// An adaptive threshold policy (DSSP/ABS) changed worker `w`'s
@@ -234,7 +224,6 @@ impl EventKind {
             EventKind::ResyncStart { .. } => "resync_start",
             EventKind::ResyncEnd { .. } => "resync_end",
             EventKind::Mta { .. } => "mta",
-            EventKind::AggMerge { .. } => "agg_merge",
             EventKind::AutoThreshold { .. } => "auto_threshold",
             EventKind::ThresholdAdapt { .. } => "threshold_adapt",
             EventKind::CodecSelect { .. } => "codec_select",
@@ -260,8 +249,7 @@ impl EventKind {
             EventKind::PushStart { .. }
             | EventKind::PushEnd { .. }
             | EventKind::PullStart { .. }
-            | EventKind::PullEnd { .. }
-            | EventKind::AggMerge { .. } => Category::Transfer,
+            | EventKind::PullEnd { .. } => Category::Transfer,
             EventKind::RowPush { .. } | EventKind::RowPull { .. } => Category::Row,
             EventKind::Retransmit { .. } | EventKind::Backoff { .. } => Category::Reliability,
             EventKind::Loss { .. } => Category::Loss,
@@ -430,18 +418,6 @@ impl Event {
             }
             EventKind::Mta { w, secs, budget } => {
                 let _ = write!(out, ",\"w\":{w},\"secs\":{secs},\"budget\":{budget}");
-            }
-            EventKind::AggMerge {
-                agg,
-                rows,
-                raw,
-                pushes,
-                ver,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"agg\":{agg},\"rows\":{rows},\"raw\":{raw},\"pushes\":{pushes},\"ver\":{ver}"
-                );
             }
             EventKind::AutoThreshold { threshold } => {
                 let _ = write!(out, ",\"threshold\":{threshold}");
@@ -730,23 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_and_parse_agg_merge() {
-        let r = roundtrip(EventKind::AggMerge {
-            agg: 3,
-            rows: 8,
-            raw: 20,
-            pushes: 4,
-            ver: 17,
-        });
-        assert_eq!(r.ev(), "agg_merge");
-        assert_eq!(r.num("agg"), Some(3.0));
-        assert_eq!(r.num("rows"), Some(8.0));
-        assert_eq!(r.num("raw"), Some(20.0));
-        assert_eq!(r.num("pushes"), Some(4.0));
-        assert_eq!(r.num("ver"), Some(17.0));
-    }
-
-    #[test]
     fn meta_name_is_escaped() {
         let r = roundtrip(EventKind::Meta {
             name: "a \"b\"\nc".into(),
@@ -877,13 +836,6 @@ mod tests {
                 w: 0,
                 secs: 0.0,
                 budget: 0.0,
-            },
-            EventKind::AggMerge {
-                agg: 0,
-                rows: 0,
-                raw: 0,
-                pushes: 0,
-                ver: 0,
             },
             EventKind::AutoThreshold { threshold: 0 },
             EventKind::ThresholdAdapt { w: 0, threshold: 0 },

@@ -231,14 +231,6 @@ pub struct ExperimentConfig {
     /// per shard. `1` (the default) is byte-identical to the unsharded
     /// engine. `0` is treated as `1`.
     pub n_shards: usize,
-    /// Number of edge aggregators between the workers and the
-    /// parameter-server shards (ROG strategies only). Workers are
-    /// grouped contiguously under aggregators; each aggregator merges
-    /// its members' row pushes (summing gradient contributions,
-    /// max-ing versions) before forwarding upstream. `0` (the
-    /// default) is the flat topology, byte-identical to the
-    /// pre-aggregator engine.
-    pub n_aggregators: usize,
     /// Row codec for the push/pull payloads (ROG strategies only; the
     /// model-granularity baselines always ship the dense one-bit
     /// model). [`CodecChoice::Auto`] starts every link on one-bit and
@@ -277,7 +269,6 @@ impl Default for ExperimentConfig {
             loss: None,
             trace: false,
             n_shards: 1,
-            n_aggregators: 0,
             codec: CodecChoice::OneBit,
         }
     }
@@ -289,7 +280,7 @@ impl ExperimentConfig {
         let faulty = self.fault_plan.as_ref().is_some_and(|p| !p.is_empty())
             || (self.fault_plan.is_none() && self.fault_seed.is_some());
         format!(
-            "{}{}{}{}{}{}{} / {} / {}",
+            "{}{}{}{}{}{} / {} / {}",
             self.strategy.name(),
             match (self.pipeline, self.auto_threshold) {
                 (true, true) => "+pipe+auto",
@@ -299,11 +290,6 @@ impl ExperimentConfig {
             },
             if self.effective_shards() > 1 {
                 format!("+shard{}", self.effective_shards())
-            } else {
-                String::new()
-            },
-            if self.effective_aggregators() > 0 {
-                format!("+agg{}", self.effective_aggregators())
             } else {
                 String::new()
             },
@@ -332,17 +318,6 @@ impl ExperimentConfig {
             self.n_shards.max(1)
         } else {
             1
-        }
-    }
-
-    /// The edge-aggregator count this run actually uses: `n_aggregators`
-    /// for the ROG row engine (`0` = flat worker→server topology);
-    /// always `0` for the model-granularity baselines.
-    pub fn effective_aggregators(&self) -> usize {
-        if self.strategy.is_row_granular() {
-            self.n_aggregators
-        } else {
-            0
         }
     }
 
@@ -445,30 +420,10 @@ impl ExperimentConfig {
     }
 
     /// Wraps this config in a [`crate::RunOptions`] builder — the
-    /// single entry point for running experiments. `cfg.options()
-    /// .run()` replaces the deprecated `run()`/`run_traced()` pair.
+    /// single entry point for running experiments:
+    /// `cfg.options().traced(true).run()`.
     pub fn options(&self) -> crate::RunOptions {
         crate::RunOptions::new(self.clone())
-    }
-
-    /// Runs the experiment and discards any journal.
-    #[deprecated(since = "0.5.0", note = "use `options().run().metrics` / `run_with`")]
-    pub fn run(&self) -> crate::RunMetrics {
-        crate::engine::run(self)
-    }
-
-    /// Runs the experiment with the event journal forced on,
-    /// returning the journal alongside the metrics.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `options().traced(true).run()` / `run_with`"
-    )]
-    pub fn run_traced(&self) -> (crate::RunMetrics, rog_obs::Journal) {
-        let cfg = ExperimentConfig {
-            trace: true,
-            ..self.clone()
-        };
-        crate::engine::run_traced(&cfg)
     }
 }
 
@@ -554,22 +509,18 @@ mod tests {
                 max_threshold: 8,
             },
             n_shards: 3,
-            n_aggregators: 1,
             ..ExperimentConfig::default()
         };
         assert_eq!(roga.effective_shards(), 3);
-        assert_eq!(roga.effective_aggregators(), 1);
         let dssp = ExperimentConfig {
             strategy: Strategy::Dssp {
                 min_threshold: 1,
                 max_threshold: 8,
             },
             n_shards: 3,
-            n_aggregators: 1,
             ..ExperimentConfig::default()
         };
         assert_eq!(dssp.effective_shards(), 1);
-        assert_eq!(dssp.effective_aggregators(), 0);
     }
 
     #[test]
@@ -654,33 +605,6 @@ mod tests {
             .expect("windows force a model");
         assert_eq!(model.loss_prob(1, 15.0), 0.4);
         assert_eq!(model.loss_prob(1, 25.0), 0.0);
-    }
-
-    #[test]
-    fn aggregator_naming_and_resolution() {
-        let flat = ExperimentConfig {
-            strategy: Strategy::Rog { threshold: 4 },
-            ..ExperimentConfig::default()
-        };
-        assert_eq!(flat.effective_aggregators(), 0);
-        assert!(!flat.name().contains("+agg"));
-
-        let hier = ExperimentConfig {
-            strategy: Strategy::Rog { threshold: 4 },
-            n_aggregators: 2,
-            ..ExperimentConfig::default()
-        };
-        assert_eq!(hier.effective_aggregators(), 2);
-        assert!(hier.name().contains("+agg2"), "{}", hier.name());
-
-        // Baselines move whole models; there is nothing to aggregate.
-        let baseline = ExperimentConfig {
-            strategy: Strategy::Bsp,
-            n_aggregators: 2,
-            ..ExperimentConfig::default()
-        };
-        assert_eq!(baseline.effective_aggregators(), 0);
-        assert!(!baseline.name().contains("+agg"));
     }
 
     #[test]

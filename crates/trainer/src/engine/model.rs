@@ -683,9 +683,6 @@ impl ModelEngine {
             FaultEvent::BlackoutEnd(w) => self.on_blackout_end(w, now),
             FaultEvent::ServerDown(s) => self.on_server_down(s, now),
             FaultEvent::ServerUp(s) => self.on_server_up(s, now),
-            FaultEvent::AggregatorDown(_) | FaultEvent::AggregatorUp(_) => unreachable!(
-                "aggregator faults are rejected for baseline strategies at engine construction"
-            ),
         }
     }
 

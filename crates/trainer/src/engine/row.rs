@@ -22,10 +22,7 @@
 use std::collections::BTreeMap;
 
 use rog_compress::{CodecChoice, RowCodec};
-use rog_core::{
-    mta, AggregatorMap, AggregatorPlane, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId,
-    ShardMap, ShardedServer,
-};
+use rog_core::{mta, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId, ShardMap, ShardedServer};
 use rog_fault::FaultEvent;
 use rog_net::{
     shard_link, BackoffPolicy, FlowEvent, FlowId, FlowOutcome, FlowSpec, ReliableProgress,
@@ -226,12 +223,6 @@ struct RowEngine {
     /// legitimately age past the static staleness bound.
     #[cfg(debug_assertions)]
     skipped_shard_push: bool,
-    /// Edge-aggregation tier (`None` = flat worker→server topology,
-    /// byte-identical to the pre-aggregator engine).
-    agg_plane: Option<AggregatorPlane>,
-    /// Per-aggregator outage flags; a downed aggregator severs all its
-    /// member workers from the parameter plane at once.
-    agg_down: Vec<bool>,
     /// In-flight transfer count per worker (replaces the former
     /// O(flows) scan in `set_comm_state_sub`).
     flows_per_worker: Vec<u32>,
@@ -360,6 +351,21 @@ impl CodecAuto {
     }
 }
 
+/// Channel stress in `[0, 1]` seen by the adaptive controllers:
+/// `min(1, 2.5·loss + lag)`, where `loss` is a loss-rate EWMA and `lag`
+/// is the straggler-link share — how far the weakest link's goodput
+/// `good` falls below the strongest's, `best`. The channel's global
+/// sharing divisor cancels in the ratio, leaving pure fade × delivery
+/// probability.
+fn link_stress(loss: f64, good: f64, best: f64) -> f64 {
+    let lag = if best > 0.0 {
+        (1.0 - good / best).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    (2.5 * loss + lag).min(1.0)
+}
+
 /// Runs one ROG experiment.
 pub fn run(cfg: &ExperimentConfig) -> RunMetrics {
     run_traced(cfg).0
@@ -430,14 +436,6 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
     let map = ShardMap::contiguous(init.row_widths().len(), n_shards);
     let mut server = ShardedServer::new(init.params(), n, threshold, wcfg.importance, map);
     server.configure_codec(codec_choice, codec_root.fork(0).seed());
-    let n_aggs = cfg.effective_aggregators();
-    let agg_plane = (n_aggs > 0).then(|| {
-        AggregatorPlane::new(
-            AggregatorMap::contiguous(n, n_aggs),
-            n_shards,
-            init.row_widths().len(),
-        )
-    });
     let widths = init.row_widths();
     // Rejoin resyncs always ship the dense one-bit model: a rejoiner's
     // residuals were just reset, so there is no content to size against.
@@ -464,8 +462,6 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
         last_global_min: vec![0; n_shards],
         #[cfg(debug_assertions)]
         skipped_shard_push: false,
-        agg_plane,
-        agg_down: vec![false; n_aggs],
         flows_per_worker: vec![0; n],
         sim_events: 0,
         peak_version_bytes: 0,
@@ -477,19 +473,10 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
         codec_auto: codec_choice.is_auto().then(CodecAuto::new),
     };
     engine.event_loop();
-    let agg = engine
-        .agg_plane
-        .as_ref()
-        .map(|p| p.stats())
-        .unwrap_or_default();
     let stats = FleetStats {
         sim_events: engine.sim_events,
         queue_scheduled: engine.ctx.queue.scheduled(),
         peak_version_bytes: engine.peak_version_bytes as u64,
-        agg_flushes: agg.flushes,
-        agg_upstream_rows: agg.upstream_rows,
-        agg_raw_rows: agg.raw_rows,
-        agg_pulls: agg.pulls,
     };
     let models: Vec<&rog_models::Mlp> = engine.workers.iter().map(|w| &w.model).collect();
     let (metrics, journal) = engine.ctx.finish_traced(&models);
@@ -511,22 +498,6 @@ impl RowEngine {
     /// Whether at least one parameter shard is reachable.
     fn any_shard_up(&self) -> bool {
         self.ctx.server_down.iter().any(|&d| !d)
-    }
-
-    /// Whether `w`'s fronting aggregator (if any) is down.
-    fn agg_blocked(&self, w: usize) -> bool {
-        self.agg_plane
-            .as_ref()
-            .is_some_and(|p| self.agg_down[p.map().agg_of(w)])
-    }
-
-    /// Whether `w`'s path to the parameter plane is severed: its own
-    /// link is blacked out, or (hierarchical topology) its fronting
-    /// aggregator is down. Every connectivity decision the engine makes
-    /// for a worker goes through this, so an aggregator outage behaves
-    /// exactly like a blackout of all its members at once.
-    fn path_blocked(&self, w: usize) -> bool {
-        self.ctx.link_down[w] || self.agg_blocked(w)
     }
 
     /// Registers an in-flight transfer (single insertion point, keeping
@@ -732,7 +703,7 @@ impl RowEngine {
     }
 
     fn begin_push(&mut self, w: usize, now: Time, n: u64) {
-        if self.path_blocked(w) || !self.any_shard_up() {
+        if self.ctx.link_down[w] || !self.any_shard_up() {
             // Nothing to transmit through: park the whole cycle; a
             // recovery event restarts it via `resume_worker`.
             let ws = &mut self.workers[w];
@@ -1075,14 +1046,6 @@ impl RowEngine {
             self.workers[w].worker.commit_push(&plan, n)
         };
         let min_before = self.server.versions(s).global_min();
-        if let Some(plane) = self.agg_plane.as_mut() {
-            // Fold the push into the member's merge window while the
-            // row ids are still global (`on_push` translates them to
-            // shard-local in place). The plane is accounting only — it
-            // never feeds back into the simulation.
-            let ids: Vec<usize> = payloads.iter().map(|(id, _)| id.0).collect();
-            plane.on_member_push(w, s, &ids, n);
-        }
         self.server.on_push(s, w, n, &mut payloads);
         let min_advanced = self.server.versions(s).global_min() > min_before;
         self.peak_version_bytes = self
@@ -1184,7 +1147,7 @@ impl RowEngine {
         let waiting = std::mem::take(&mut self.waiting);
         for (w, s, n) in waiting {
             if !self.ctx.offline[w]
-                && !self.path_blocked(w)
+                && !self.ctx.link_down[w]
                 && !self.ctx.server_down[s]
                 && self.server.gate_ok(s, n)
             {
@@ -1206,28 +1169,6 @@ impl RowEngine {
                 waited: now - self.workers[w].subs[s].gate_entered,
             }
         );
-        if let Some(plane) = self.agg_plane.as_mut() {
-            // Granting a pull closes the member's merge window: the
-            // merged rows go upstream ahead of the fresh fetch, and the
-            // pull fans out downstream through the aggregator.
-            let merged = plane.flush(w, s);
-            let agg = plane.map().agg_of(w) as u32;
-            plane.on_member_pull();
-            if let Some(m) = merged {
-                obs_shard!(
-                    self.ctx.journal,
-                    now,
-                    self.shard_tag(s),
-                    EventKind::AggMerge {
-                        agg,
-                        rows: m.rows as u32,
-                        raw: m.raw_rows as u32,
-                        pushes: m.pushes as u32,
-                        ver: m.max_version,
-                    }
-                );
-            }
-        }
         let mut plan = std::mem::take(&mut self.workers[w].subs[s].pull_plan);
         self.server.plan_pull_into(s, w, &mut plan);
         if plan.is_empty() {
@@ -1475,15 +1416,7 @@ impl RowEngine {
                 max_good = max_good.max(good);
             }
         }
-        // Straggler-link share: how far the weakest link's goodput falls
-        // below the strongest's. The channel's global sharing divisor
-        // cancels in the ratio, leaving pure fade × delivery probability.
-        let lag = if max_good > 0.0 {
-            (1.0 - min_good / max_good).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let stress = (2.5 * max_loss + lag).min(1.0);
+        let stress = link_stress(max_loss, min_good, max_good);
         let span = f64::from(ab.max - ab.min);
         let desired = ab.min + (stress * span).round() as u32;
         let applied = if desired < self.threshold {
@@ -1540,12 +1473,7 @@ impl RowEngine {
                         loss = loss.max(tp.estimated_loss_rate(link));
                         good = good.min(tp.estimated_goodput_rate(link));
                     }
-                    let lag = if max_good > 0.0 {
-                        (1.0 - good / max_good).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    let stress = (2.5 * loss + lag).min(1.0);
+                    let stress = link_stress(loss, good, max_good);
                     let current_sparse = self.workers[w].worker.codec().name() == "sparse";
                     // Hysteresis: inside the band a link keeps whatever
                     // codec it has, so EWMA jitter cannot flap it.
@@ -1642,12 +1570,8 @@ impl RowEngine {
             tag,
             EventKind::Fault {
                 kind: f.name(),
-                // Aggregator faults scope `w` to the aggregator index
-                // (the `kind` disambiguates); server faults use the
-                // shard tag and leave `w` at -1.
-                w: f.worker()
-                    .or_else(|| f.aggregator())
-                    .map_or(-1, |w| w as i64),
+                // Server faults use the shard tag and leave `w` at -1.
+                w: f.worker().map_or(-1, |w| w as i64),
             }
         );
         match f {
@@ -1657,8 +1581,6 @@ impl RowEngine {
             FaultEvent::BlackoutEnd(w) => self.on_blackout_end(w, now),
             FaultEvent::ServerDown(s) => self.on_server_down(s, now),
             FaultEvent::ServerUp(s) => self.on_server_up(s, now),
-            FaultEvent::AggregatorDown(a) => self.on_aggregator_down(a, now),
-            FaultEvent::AggregatorUp(a) => self.on_aggregator_up(a, now),
         }
     }
 
@@ -1756,7 +1678,7 @@ impl RowEngine {
         if !self.ctx.offline[w] {
             return;
         }
-        if self.ctx.any_server_down() || self.path_blocked(w) {
+        if self.ctx.any_server_down() || self.ctx.link_down[w] {
             // Powered on but unreachable (a resync needs every shard):
             // resync once the full path returns.
             self.workers[w].resume = Some(Resume::Resync);
@@ -1881,7 +1803,7 @@ impl RowEngine {
         let Some(retx) = self.retx[w].as_ref() else {
             return;
         };
-        if self.ctx.any_server_down() || self.path_blocked(w) {
+        if self.ctx.any_server_down() || self.ctx.link_down[w] {
             // Path went down during the backoff: restart the resync from
             // scratch once connectivity returns.
             self.retx[w] = None;
@@ -2020,57 +1942,6 @@ impl RowEngine {
         self.drain_waiting(now);
     }
 
-    /// An edge aggregator fails: every member worker is severed from
-    /// the parameter plane at once — in-flight transfers die and resume
-    /// when the aggregator returns, exactly as a per-member blackout
-    /// would behave (the members' own radios stay up, so `link_down`
-    /// is untouched; `agg_down` is a separate mask composed by
-    /// [`Self::path_blocked`]).
-    fn on_aggregator_down(&mut self, a: usize, now: Time) {
-        if self.agg_down[a] {
-            return;
-        }
-        self.agg_down[a] = true;
-        let members: Vec<usize> = self
-            .agg_plane
-            .as_ref()
-            .expect("aggregator faults are validated against the topology")
-            .map()
-            .members(a)
-            .to_vec();
-        for w in members {
-            for ctx in self.cancel_flows_of(w) {
-                self.suspend_ctx(ctx);
-            }
-            if self.clear_retx(w) {
-                self.workers[w].resume = Some(Resume::Resync);
-            }
-            if !self.ctx.offline[w] && !self.workers[w].done {
-                self.set_comm_state(w, now, DeviceState::Stall);
-            }
-        }
-    }
-
-    /// A failed aggregator returns: members whose own link is up resume
-    /// whatever the outage suspended.
-    fn on_aggregator_up(&mut self, a: usize, now: Time) {
-        if !self.agg_down[a] {
-            return;
-        }
-        self.agg_down[a] = false;
-        let members: Vec<usize> = self
-            .agg_plane
-            .as_ref()
-            .expect("aggregator faults are validated against the topology")
-            .map()
-            .members(a)
-            .to_vec();
-        for w in members {
-            self.resume_worker(w, now);
-        }
-        self.drain_waiting(now);
-    }
-
     fn on_server_down(&mut self, shard: usize, now: Time) {
         if self.ctx.server_down[shard] {
             return;
@@ -2106,7 +1977,7 @@ impl RowEngine {
         }
         self.ctx.server_down[shard] = false;
         for w in 0..self.workers.len() {
-            if !self.path_blocked(w) {
+            if !self.ctx.link_down[w] {
                 self.resume_worker(w, now);
             }
         }
@@ -2119,14 +1990,14 @@ impl RowEngine {
         if self.ctx.offline[w] {
             if self.workers[w].resume == Some(Resume::Resync)
                 && !self.ctx.any_server_down()
-                && !self.path_blocked(w)
+                && !self.ctx.link_down[w]
             {
                 self.workers[w].resume = None;
                 self.begin_resync(w, now);
             }
             return;
         }
-        if self.path_blocked(w) {
+        if self.ctx.link_down[w] {
             return;
         }
         match self.workers[w].resume {

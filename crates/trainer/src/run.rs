@@ -2,15 +2,13 @@
 //! [`ExperimentConfig`] and a single entry point ([`run_with`])
 //! returning a [`RunOutcome`].
 //!
-//! Historically experiments were launched through two ad-hoc methods,
-//! `ExperimentConfig::run()` and `run_traced()`, whose return types
-//! diverged as features grew. This module replaces both: every launch
-//! path — benches, `rogctl`, examples, tests — goes through
-//! `cfg.options()…run()` (or the free function [`run_with`]), and the
-//! outcome always carries the metrics plus an optional journal.
-//!
-//! The builder only *wraps* the config; running with default options
-//! is bit-identical to the old `run()` path.
+//! Every launch path — benches, `rogctl`, examples, tests — goes
+//! through `cfg.options()…run()` (or the free function [`run_with`]),
+//! and the outcome always carries the metrics, the engine's
+//! [`FleetStats`] and, when tracing was requested, the journal. The
+//! builder only *wraps* the config: tracing never feeds back into the
+//! simulation, so a traced and an untraced run of the same config have
+//! bit-identical metrics.
 
 use crate::config::ExperimentConfig;
 use crate::metrics::RunMetrics;
@@ -33,14 +31,6 @@ pub struct FleetStats {
     /// Peak estimated heap footprint of the sharded version store, in
     /// bytes, sampled after every push.
     pub peak_version_bytes: u64,
-    /// Aggregator merge windows flushed upstream (0 in flat topology).
-    pub agg_flushes: u64,
-    /// Distinct rows forwarded upstream across all flushes.
-    pub agg_upstream_rows: u64,
-    /// Raw member rows absorbed into merge windows before dedup.
-    pub agg_raw_rows: u64,
-    /// Member pulls fanned out through aggregators.
-    pub agg_pulls: u64,
 }
 
 /// Everything a run produces: the measurement bundle plus, when
@@ -136,14 +126,6 @@ impl RunOptions {
         self
     }
 
-    /// Sets the number of edge aggregators between workers and the
-    /// parameter-server shards (ROG only; 0 is the flat topology,
-    /// bit-identical to pre-aggregator behavior).
-    pub fn aggregators(mut self, n_aggregators: usize) -> Self {
-        self.cfg.n_aggregators = n_aggregators;
-        self
-    }
-
     /// Selects the row codec for push/pull payloads (ROG only;
     /// [`rog_compress::CodecChoice::OneBit`], the default, is
     /// bit-identical to pre-codec behavior).
@@ -196,10 +178,9 @@ impl RunOptions {
 /// Runs an experiment described by `options` and returns its
 /// [`RunOutcome`].
 ///
-/// This is the single launch path: an untraced run executes the exact
-/// engine the deprecated `ExperimentConfig::run()` invoked, and a
-/// traced run the exact `run_traced()` path, so outcomes are
-/// bit-identical to the legacy API.
+/// This is the single launch path. On the sim transport it dispatches
+/// to the engine for the configured strategy, with the config's
+/// `trace` flag set from [`RunOptions::traced`].
 pub fn run_with(options: &RunOptions) -> RunOutcome {
     run_with_result(options).unwrap_or_else(|e| panic!("live run failed: {e}"))
 }
@@ -227,55 +208,15 @@ pub fn run_with_result(options: &RunOptions) -> Result<RunOutcome, String> {
 }
 
 fn run_sim(options: &RunOptions) -> RunOutcome {
-    if options.traced {
-        let cfg = ExperimentConfig {
-            trace: true,
-            ..options.cfg.clone()
-        };
-        let (metrics, journal, stats) = crate::engine::run_full(&cfg);
-        RunOutcome {
-            metrics,
-            journal: Some(journal),
-            stats,
-        }
-    } else {
-        let cfg = ExperimentConfig {
-            trace: false,
-            ..options.cfg.clone()
-        };
-        let (metrics, _, stats) = crate::engine::run_full(&cfg);
-        RunOutcome {
-            metrics,
-            journal: None,
-            stats,
-        }
-    }
-}
-
-/// Compiled only under `--cfg rog_exercise_deprecated`: keeps the
-/// deprecated `run()`/`run_traced()` shims themselves lint-clean (CI
-/// runs clippy once with the cfg so the shim path stays `-D warnings`
-/// compatible without every normal build tripping over the deprecation).
-#[cfg(all(test, rog_exercise_deprecated))]
-mod shim_exercise {
-    use super::*;
-    use crate::config::Strategy;
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_run() {
-        let cfg = ExperimentConfig {
-            strategy: Strategy::Rog { threshold: 4 },
-            model_scale: crate::config::ModelScale::Small,
-            n_workers: 2,
-            duration_secs: 30.0,
-            eval_every: 5,
-            ..ExperimentConfig::default()
-        };
-        let metrics = cfg.run();
-        let (traced_metrics, journal) = cfg.run_traced();
-        assert_eq!(format!("{metrics:?}"), format!("{traced_metrics:?}"));
-        assert!(journal.recorded() > 0);
+    let cfg = ExperimentConfig {
+        trace: options.traced,
+        ..options.cfg.clone()
+    };
+    let (metrics, journal, stats) = crate::engine::run_full(&cfg);
+    RunOutcome {
+        metrics,
+        journal: options.traced.then_some(journal),
+        stats,
     }
 }
 
@@ -310,20 +251,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn run_with_matches_the_legacy_entry_points() {
-        let cfg = tiny();
-        let legacy = cfg.run();
-        let new = cfg.options().run();
-        assert_eq!(format!("{legacy:?}"), format!("{:?}", new.metrics));
-
-        let (legacy_m, legacy_j) = cfg.run_traced();
-        let traced = cfg.options().traced(true).run();
-        assert_eq!(format!("{legacy_m:?}"), format!("{:?}", traced.metrics));
-        assert_eq!(legacy_j.to_jsonl(), traced.journal.unwrap().to_jsonl());
-    }
-
-    #[test]
     fn builder_setters_reach_the_config() {
         let opts = tiny()
             .options()
@@ -331,32 +258,19 @@ mod tests {
             .seed(7)
             .duration_secs(12.0)
             .workers(6)
-            .aggregators(3)
             .codec(rog_compress::CodecChoice::Sparse);
         assert_eq!(opts.config().n_shards, 4);
         assert_eq!(opts.config().seed, 7);
         assert!((opts.config().duration_secs - 12.0).abs() < 1e-12);
         assert_eq!(opts.config().n_workers, 6);
-        assert_eq!(opts.config().n_aggregators, 3);
         assert_eq!(opts.config().codec, rog_compress::CodecChoice::Sparse);
     }
 
     #[test]
-    fn flat_rog_run_reports_fleet_stats_without_aggregator_traffic() {
+    fn rog_run_reports_fleet_stats() {
         let out = tiny().options().run();
         assert!(out.stats.sim_events > 0);
         assert!(out.stats.queue_scheduled > 0);
         assert!(out.stats.peak_version_bytes > 0);
-        assert_eq!(out.stats.agg_flushes, 0);
-        assert_eq!(out.stats.agg_raw_rows, 0);
-        assert_eq!(out.stats.agg_pulls, 0);
-    }
-
-    #[test]
-    fn hierarchical_run_reports_aggregator_traffic() {
-        let out = tiny().options().aggregators(1).run();
-        assert!(out.stats.agg_flushes > 0);
-        assert!(out.stats.agg_raw_rows >= out.stats.agg_upstream_rows);
-        assert!(out.stats.agg_pulls > 0);
     }
 }

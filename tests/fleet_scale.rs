@@ -1,13 +1,9 @@
-//! Fleet-scale regression gates: the edge-aggregator tier must be
-//! observationally inert (a hierarchical run is byte-identical to the
-//! flat run once its extra accounting records are stripped), 256-worker
-//! runs must be deterministic and compute-thread invariant, and
-//! aggregator outages must be deterministic and actually stall the
-//! members they sever.
+//! Fleet-scale regression gate: a 256-worker run over a sharded
+//! parameter plane must be deterministic and compute-thread invariant.
 
 mod common;
 
-use common::{fleet_cluster_cfg, scenario_matrix};
+use common::fleet_cluster_cfg;
 use rog::prelude::*;
 use rog::trainer::compute;
 
@@ -15,118 +11,13 @@ fn traced(cfg: &ExperimentConfig) -> RunOutcome {
     cfg.options().traced(true).run()
 }
 
-/// Removes the `"seq":N,` field from one journal line: aggregator
-/// merge records consume sequence numbers, shifting every later
-/// record's `seq` without changing anything else.
-fn without_seq(line: &str) -> String {
-    let Some(i) = line.find("\"seq\":") else {
-        return line.to_owned();
-    };
-    let Some(j) = line[i..].find(',') else {
-        return line.to_owned();
-    };
-    format!("{}{}", &line[..i], &line[i + j + 1..])
-}
-
-/// Normalizes a hierarchical journal for comparison against its flat
-/// twin: drop `agg_merge` records, drop the shifted `seq` counters,
-/// and erase the `+agg{n}` segment from the run name in the header.
-fn normalized(journal: &str, aggs: usize) -> String {
-    journal
-        .replace(&format!("+agg{aggs}"), "")
-        .lines()
-        .filter(|l| !l.contains("\"ev\":\"agg_merge\""))
-        .map(without_seq)
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Bit-exact equality of every engine-reported metric except the run
-/// name (which legitimately differs by the `+agg{n}` segment).
-fn assert_same_run_modulo_name(flat: &RunMetrics, hier: &RunMetrics, what: &str) {
-    assert_eq!(flat.checkpoints, hier.checkpoints, "checkpoints: {what}");
-    assert_eq!(
-        flat.mean_iterations, hier.mean_iterations,
-        "iterations: {what}"
-    );
-    assert_eq!(flat.total_energy_j, hier.total_energy_j, "energy: {what}");
-    assert_eq!(
-        flat.useful_bytes.to_bits(),
-        hier.useful_bytes.to_bits(),
-        "useful bytes: {what}"
-    );
-    assert_eq!(
-        flat.wasted_bytes.to_bits(),
-        hier.wasted_bytes.to_bits(),
-        "wasted bytes: {what}"
-    );
-    assert_eq!(
-        flat.lost_bytes.to_bits(),
-        hier.lost_bytes.to_bits(),
-        "lost bytes: {what}"
-    );
-    assert_eq!(
-        flat.stall_secs.to_bits(),
-        hier.stall_secs.to_bits(),
-        "stall: {what}"
-    );
-    assert_eq!(
-        flat.final_model_divergence, hier.final_model_divergence,
-        "divergence: {what}"
-    );
-}
-
-/// The aggregator tier is pure accounting: for every ROG scenario in
-/// the shared matrix, a hierarchical run reproduces the flat run's
-/// metrics bit-for-bit and its journal byte-for-byte once the
-/// aggregator records are stripped.
-#[test]
-fn hierarchical_topology_is_observationally_inert() {
-    for (name, cfg) in scenario_matrix() {
-        if !cfg.strategy.is_row_granular() {
-            continue;
-        }
-        let flat = traced(&cfg);
-        for aggs in [1usize, 2] {
-            let hier = traced(&ExperimentConfig {
-                n_aggregators: aggs,
-                ..cfg.clone()
-            });
-            let what = format!("{name} @ {aggs} aggregators");
-            assert!(
-                hier.metrics.name.contains(&format!("+agg{aggs}")),
-                "hierarchical run is not labeled: {what}"
-            );
-            assert_same_run_modulo_name(&flat.metrics, &hier.metrics, &what);
-            assert!(
-                hier.stats.agg_flushes > 0,
-                "no merge windows flushed: {what}"
-            );
-            assert!(
-                hier.stats.agg_upstream_rows <= hier.stats.agg_raw_rows,
-                "merge expanded traffic: {what}"
-            );
-            let flat_j = flat.journal.as_ref().expect("traced").to_jsonl();
-            let hier_j = hier.journal.as_ref().expect("traced").to_jsonl();
-            assert_eq!(
-                normalized(&flat_j, aggs),
-                normalized(&hier_j, aggs),
-                "journal differs beyond aggregator records: {what}"
-            );
-        }
-    }
-}
-
-/// A 256-worker, 4-shard, 8-aggregator run is a pure function of its
-/// config: byte-identical when re-run and at every compute-thread
-/// count. One test drives all thread counts because the override is
+/// A 256-worker, 4-shard run is a pure function of its config:
+/// byte-identical when re-run and at every compute-thread count. One
+/// test drives all thread counts because the override is
 /// process-global.
 #[test]
 fn fleet_256_is_deterministic_and_thread_invariant() {
-    let cfg = ExperimentConfig {
-        n_aggregators: 8,
-        ..fleet_cluster_cfg(256, 4)
-    };
+    let cfg = fleet_cluster_cfg(256, 4);
     compute::set_thread_override(Some(1));
     let base = traced(&cfg);
     let base_journal = base.journal.as_ref().expect("traced").to_jsonl();
@@ -137,92 +28,15 @@ fn fleet_256_is_deterministic_and_thread_invariant() {
         let again = traced(&cfg);
         compute::set_thread_override(None);
         assert_eq!(base.stats, again.stats, "fleet stats differ @ {threads}");
-        assert_same_run_modulo_name(
-            &base.metrics,
-            &again.metrics,
-            &format!("256 workers @ {threads} threads"),
+        assert_eq!(
+            format!("{:?}", base.metrics),
+            format!("{:?}", again.metrics),
+            "metrics differ @ {threads} threads"
         );
-        assert_eq!(base.metrics.name, again.metrics.name);
         assert_eq!(
             base_journal,
             again.journal.as_ref().expect("traced").to_jsonl(),
             "journal differs @ {threads} threads"
         );
-    }
-}
-
-/// An aggregator outage stalls exactly its members, deterministically:
-/// two runs of the same faulted config are byte-identical, the journal
-/// records the `agg_down`/`agg_up` edges, and the outage costs strictly
-/// more stall time than the clean run.
-#[test]
-fn aggregator_outage_is_deterministic_and_stalls_members() {
-    let clean = ExperimentConfig {
-        n_aggregators: 2,
-        duration_secs: 60.0,
-        ..fleet_cluster_cfg(8, 2)
-    };
-    let faulted = ExperimentConfig {
-        fault_plan: Some(FaultPlan::new().aggregator_outage(0, 10.0, 40.0)),
-        ..clean.clone()
-    };
-    let a = traced(&faulted);
-    let b = traced(&faulted);
-    assert_eq!(a.stats, b.stats, "faulted run not deterministic");
-    let a_j = a.journal.as_ref().expect("traced").to_jsonl();
-    assert_eq!(
-        a_j,
-        b.journal.as_ref().expect("traced").to_jsonl(),
-        "faulted journal not deterministic"
-    );
-    assert!(
-        a_j.contains("\"kind\":\"agg_down\"") && a_j.contains("\"kind\":\"agg_up\""),
-        "journal is missing the aggregator fault edges"
-    );
-    let base = traced(&clean);
-    assert!(
-        a.metrics.stall_secs > base.metrics.stall_secs,
-        "a 30 s aggregator outage must add stall time ({} vs {})",
-        a.metrics.stall_secs,
-        base.metrics.stall_secs
-    );
-}
-
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Random small topologies: hierarchical ≡ flat for any
-        /// (workers, aggregators, threshold, seed) draw.
-        #[test]
-        fn hierarchical_matches_flat_on_random_topologies(
-            raw in (2usize..6, 1usize..6, 2u32..8, 0u64..1000)
-        ) {
-            let (workers, raw_aggs, threshold, seed) = raw;
-            let aggs = 1 + raw_aggs % workers; // 1..=workers
-            let flat = ExperimentConfig {
-                // `proptest::prelude` also exports a `Strategy` trait,
-                // so the config enum needs its full path here.
-                strategy: rog::prelude::Strategy::Rog { threshold },
-                seed,
-                duration_secs: 20.0,
-                ..fleet_cluster_cfg(workers, 2)
-            };
-            let hier = ExperimentConfig {
-                n_aggregators: aggs,
-                ..flat.clone()
-            };
-            let f = flat.options().run();
-            let h = hier.options().run();
-            assert_same_run_modulo_name(
-                &f.metrics,
-                &h.metrics,
-                &format!("w={workers} a={aggs} t={threshold} seed={seed}"),
-            );
-            prop_assert_eq!(f.stats.sim_events, h.stats.sim_events);
-            prop_assert_eq!(f.stats.queue_scheduled, h.stats.queue_scheduled);
-            prop_assert_eq!(f.stats.peak_version_bytes, h.stats.peak_version_bytes);
-        }
     }
 }
