@@ -49,6 +49,16 @@ use crate::engine::common::relative_model_divergence_flat;
 use crate::metrics::{ByteAccount, MetricsCollector};
 use crate::run::{FleetStats, RunOutcome};
 
+/// After `Done`, how long the server waits for final models and byes,
+/// and how long a worker that said `Bye` waits for the server to close
+/// its reliable lane.
+const FINISH_GRACE: Duration = Duration::from_secs(30);
+
+/// How often a gated worker re-asks the server for the cluster minimum.
+/// The reply wakes the worker at once; the interval only stops an
+/// unchanged answer from turning into a busy request loop.
+const GATE_PROBE: Duration = Duration::from_millis(1);
+
 /// How a live [`serve`] run is launched.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
@@ -233,6 +243,11 @@ fn admit_worker(
     Ok(worker_udp)
 }
 
+/// Wall seconds from now until `t` (zero once it has passed).
+fn secs_until(t: Instant) -> f64 {
+    t.saturating_duration_since(Instant::now()).as_secs_f64()
+}
+
 fn to_row_ids(rows: &[Row]) -> Vec<(RowId, Vec<f32>)> {
     rows.iter()
         .map(|(id, v)| (RowId(*id as usize), v.clone()))
@@ -379,7 +394,7 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
                 let _ = send_msg(&mut transport, w, 0, &Msg::Done);
             }
             done_sent = true;
-            grace_deadline = Some(Instant::now() + Duration::from_secs(30));
+            grace_deadline = Some(Instant::now() + FINISH_GRACE);
         }
         if done_sent {
             let all_in = members
@@ -615,7 +630,8 @@ impl LiveWorker {
         );
     }
 
-    /// Polls briefly, stashing messages and latching `Done`.
+    /// Polls for up to `budget` wall seconds (less once something
+    /// arrives), stashing messages and latching `Done`.
     fn pump(&mut self, budget: f64) {
         if let Ok(batch) = self.transport.poll(budget) {
             for d in batch {
@@ -661,7 +677,10 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     let server_addr = resolve(&opts.connect)?;
     // Workers routinely launch before the server has bound its port, so
     // connection-refused is retried for a few seconds rather than fatal.
+    // The backoff starts short: the server usually binds within a few
+    // milliseconds of the first attempt.
     let connect_deadline = Instant::now() + Duration::from_secs(10);
+    let mut backoff = Duration::from_millis(1);
     let mut stream = loop {
         match TcpStream::connect(server_addr) {
             Ok(s) => break s,
@@ -669,7 +688,8 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
                 if Instant::now() > connect_deadline {
                     return Err(format!("cannot connect to {server_addr}: {e}"));
                 }
-                thread::sleep(Duration::from_millis(50));
+                thread::sleep(backoff);
+                backoff = (backoff * 2).min(Duration::from_millis(50));
             }
         }
     };
@@ -799,7 +819,10 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
                     row: -1,
                 }
             );
-            while !lw.done && iter > known_min + u64::from(threshold) && lw.now() < lw.duration {
+            let gated = |lw: &LiveWorker, known_min: u64| {
+                !lw.done && iter > known_min + u64::from(threshold) && lw.now() < lw.duration
+            };
+            while gated(&lw, known_min) {
                 lw.send(
                     &Msg::Sync {
                         worker: w as u32,
@@ -807,10 +830,13 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
                     },
                     iter,
                 );
-                lw.pump(0.05);
-                for m in lw.pending.drain(..) {
-                    if let Msg::MinVersion { min } = m {
-                        known_min = known_min.max(min);
+                let next_probe = Instant::now() + GATE_PROBE;
+                while gated(&lw, known_min) && Instant::now() < next_probe {
+                    lw.pump(secs_until(next_probe));
+                    for m in lw.pending.drain(..) {
+                        if let Msg::MinVersion { min } = m {
+                            known_min = known_min.max(min);
+                        }
                     }
                 }
             }
@@ -846,11 +872,11 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         let jitter = jitter_rng.normal_with(0.0, 0.02 * base);
         let compute_secs = (base + cfg.codec_secs() + jitter).max(0.05);
         // The paced budget covers the real gradient computation too:
-        // sleep only the remainder, so the virtual compute span equals
+        // wait only the remainder, so the virtual compute span equals
         // `compute_secs` whether the real math was fast or slow.
-        let sleep_end = compute_start + Duration::from_secs_f64(compute_secs / speedup);
-        while Instant::now() < sleep_end {
-            lw.pump(0.01);
+        let compute_end = compute_start + Duration::from_secs_f64(compute_secs / speedup);
+        while Instant::now() < compute_end {
+            lw.pump(secs_until(compute_end));
         }
 
         // Push: importance-ranked rows, best-effort datagrams.
@@ -968,8 +994,12 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         iter,
     );
     lw.send(&Msg::Bye { worker: w as u32 }, iter);
-    // Let the reliable sends flush before dropping the stream.
-    lw.pump(0.2);
+    // Keep the stream open until the server, holding every final model,
+    // hangs up: closing first could cut a large `FinalModel` off in flight.
+    let bye_deadline = Instant::now() + FINISH_GRACE;
+    while lw.transport.tcp_connected(0) && Instant::now() < bye_deadline {
+        lw.pump(secs_until(bye_deadline));
+    }
 
     let counters = lw.transport.byte_counters();
     let bytes = ByteAccount {

@@ -247,7 +247,12 @@ mod tests {
     fn traced_outcome_carries_a_journal() {
         let out = tiny().options().traced(true).run();
         let journal = out.journal.expect("traced run must return a journal");
-        assert!(journal.recorded() > 0);
+        // `obs-off` compiles recording out: the journal is there, empty.
+        if cfg!(feature = "obs-off") {
+            assert_eq!(journal.recorded(), 0);
+        } else {
+            assert!(journal.recorded() > 0);
+        }
     }
 
     #[test]

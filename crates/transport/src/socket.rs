@@ -16,14 +16,23 @@
 //! TCP's ack/retransmit machinery provides the delivery guarantee, and
 //! the frame CRC stays as an end-to-end integrity check.
 //!
-//! The vendored dependency set has no async runtime; sockets are
-//! driven by short blocking polls ([`SocketTransport::poll`] toggles
-//! non-blocking mode for its read bursts). An async backend could
-//! implement [`Transport`] without changing any caller.
+//! The vendored dependency set has no async runtime and no `libc`, so
+//! nothing can wait on the UDP socket and the TCP streams at once.
+//! Every socket is therefore non-blocking, and
+//! [`SocketTransport::poll`] drains both lanes, then naps at most
+//! [`POLL_NAP`] (a high-resolution `nanosleep`) until something arrives
+//! or its deadline passes. A socket read timeout (`SO_RCVTIMEO`) would
+//! be simpler but is kept in kernel ticks: Linux rounds every wait up to
+//! a whole tick (4 ms at HZ=250), which made each short poll overshoot
+//! its budget and left TCP-only traffic unseen while the poller sat on
+//! the UDP socket. Sends still return only once the kernel holds every
+//! byte: they retry a full send buffer after a nap. An async backend
+//! could implement [`Transport`] without changing any caller.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs, UdpSocket};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use rog_net::stats::LossEwma;
@@ -41,6 +50,16 @@ const MAX_TCP_FRAME: usize = 256 << 20;
 /// (see [`SeqWindow::bounded`]) while tolerating any realistic
 /// reordering depth on a datagram lane.
 const SEQ_WINDOW_SPAN: u64 = 4096;
+
+/// Longest nap of an idle [`SocketTransport::poll`] between two drains
+/// of its lanes, and of a send waiting for kernel buffer space. It
+/// bounds how late a poll notices an arrival; shorter naps only burn
+/// CPU.
+const POLL_NAP: Duration = Duration::from_micros(250);
+
+/// Most datagrams read in one drain of the UDP lane, so a flooded
+/// socket cannot hold [`SocketTransport::poll`] past its deadline.
+const MAX_UDP_BURST: usize = 256;
 
 /// Byte-accounting snapshot in the sim channel's categories, so a live
 /// run can fill the same `ByteAccount` the sim engines report.
@@ -132,6 +151,7 @@ impl SocketTransport {
     /// ephemeral localhost port).
     pub fn bind<A: ToSocketAddrs>(udp_addr: A) -> std::io::Result<Self> {
         let udp = UdpSocket::bind(udp_addr)?;
+        udp.set_nonblocking(true)?;
         Ok(Self {
             udp,
             peers: BTreeMap::new(),
@@ -151,7 +171,8 @@ impl SocketTransport {
 
     /// Registers `peer` with its lanes. Either lane may be absent and
     /// filled in later ([`SocketTransport::set_peer_udp`]). The TCP
-    /// stream gets `TCP_NODELAY` — gate probes are latency-critical.
+    /// stream gets `TCP_NODELAY` — gate probes are latency-critical —
+    /// and is switched to non-blocking mode for [`Transport::poll`].
     pub fn register_peer(
         &mut self,
         peer: PeerId,
@@ -160,6 +181,7 @@ impl SocketTransport {
     ) -> Result<(), TransportError> {
         if let Some(ref t) = tcp {
             t.set_nodelay(true)?;
+            t.set_nonblocking(true)?;
         }
         let entry = self.peers.entry(peer).or_insert_with(Peer::new);
         if let Some(addr) = udp {
@@ -218,12 +240,6 @@ impl SocketTransport {
         std::mem::take(&mut self.drop_log)
     }
 
-    fn log_drop(&mut self, peer: PeerId, kind: &'static str) {
-        if self.drop_log.len() < MAX_DROP_LOG {
-            self.drop_log.push((peer, kind));
-        }
-    }
-
     fn handle_datagram(&mut self, n: usize, from: SocketAddr) {
         let Some(&peer_id) = self.by_addr.get(&from) else {
             // Unknown sender: drop. Membership is handshake-driven; a
@@ -236,7 +252,7 @@ impl SocketTransport {
             Err(_) => {
                 self.crc_drops += 1;
                 self.crc_drop_bytes += n as u64;
-                self.log_drop(peer_id, "crc");
+                log_drop(&mut self.drop_log, peer_id, "crc");
                 if let Some(p) = self.peers.get_mut(&peer_id) {
                     // A damaged arrival is a bad delivery observation.
                     p.loss.observe(1, 1);
@@ -248,7 +264,7 @@ impl SocketTransport {
         let seq = u64::from(frame.header.seq);
         if !p.window.accept(seq) {
             p.dup_bytes += frame.payload.len() as u64;
-            self.log_drop(peer_id, "dup");
+            log_drop(&mut self.drop_log, peer_id, "dup");
             return;
         }
         // Sequence gaps are datagrams that (so far) never arrived:
@@ -281,86 +297,127 @@ impl SocketTransport {
         });
     }
 
-    /// Drains every complete length-prefixed frame buffered for `peer`.
+    /// Reads every datagram waiting on the UDP lane (at most
+    /// [`MAX_UDP_BURST`]). Only the shared socket itself erring fails.
+    fn drain_udp(&mut self) -> std::io::Result<()> {
+        for _ in 0..MAX_UDP_BURST {
+            match self.udp.recv_from(&mut self.scratch) {
+                Ok((n, from)) => self.handle_datagram(n, from),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads every peer's reliable lane and queues each complete
+    /// length-prefixed frame. Returns whether some lane closed.
     ///
     /// Infallible by design: a stream that errors, closes, or sends a
     /// corrupt length prefix quarantines *that peer's* reliable lane
     /// (the stream is dropped, later sends report
     /// [`TransportError::NotConnected`]) — one bad worker must never
     /// take down the whole cluster's poll loop.
-    fn drain_tcp(&mut self, peer_id: PeerId) {
-        let Some(p) = self.peers.get_mut(&peer_id) else {
-            return;
-        };
-        let Some(stream) = p.tcp.as_mut() else {
-            return;
-        };
-        if stream.set_nonblocking(true).is_err() {
-            p.tcp = None;
-            return;
-        }
-        let mut tmp = [0u8; 65_536];
-        let mut closed = false;
-        loop {
-            match stream.read(&mut tmp) {
-                Ok(0) => {
-                    closed = true;
-                    break;
-                }
-                Ok(n) => p.rbuf.extend_from_slice(&tmp[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    closed = true;
-                    let _ = e;
-                    break;
+    fn drain_tcp(&mut self) -> bool {
+        let Self {
+            peers,
+            inbox,
+            scratch,
+            drop_log,
+            crc_drops,
+            crc_drop_bytes,
+            ..
+        } = self;
+        let mut any_closed = false;
+        for (&peer_id, p) in peers.iter_mut() {
+            let Some(stream) = p.tcp.as_mut() else {
+                continue;
+            };
+            let mut closed = false;
+            loop {
+                match stream.read(scratch) {
+                    Ok(0) => {
+                        closed = true;
+                        break;
+                    }
+                    Ok(n) => p.rbuf.extend_from_slice(&scratch[..n]),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        closed = true;
+                        break;
+                    }
                 }
             }
-        }
-        if let Some(stream) = p.tcp.as_mut() {
-            let _ = stream.set_nonblocking(false);
-        }
-        if closed {
-            p.tcp = None;
-        }
-        // Extract complete frames.
-        let mut off = 0usize;
-        while p.rbuf.len() - off >= 4 {
-            let len =
-                u32::from_le_bytes(p.rbuf[off..off + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_TCP_FRAME {
-                // Corrupt or hostile prefix: the stream is unusable
-                // from here on; quarantine it and keep the run alive.
+            if closed {
                 p.tcp = None;
-                p.rbuf.clear();
-                self.log_drop(peer_id, "proto");
-                return;
+                any_closed = true;
             }
-            if p.rbuf.len() - off - 4 < len {
-                break;
-            }
-            let frame_bytes = &p.rbuf[off + 4..off + 4 + len];
-            match decode_frame(frame_bytes) {
-                Ok(frame) => {
-                    p.tcp_bytes_in += frame.payload.len() as u64;
-                    self.inbox.push_back(Delivery {
-                        from: peer_id,
-                        class: frame.header.class,
-                        iter: frame.header.iter,
-                        payload: frame.payload,
-                    });
+            // Extract complete frames.
+            let mut off = 0usize;
+            while p.rbuf.len() - off >= 4 {
+                let len =
+                    u32::from_le_bytes(p.rbuf[off..off + 4].try_into().expect("4 bytes")) as usize;
+                if len > MAX_TCP_FRAME {
+                    // Corrupt or hostile prefix: the stream is unusable
+                    // from here on; quarantine it and keep the run alive.
+                    p.tcp = None;
+                    p.rbuf.clear();
+                    off = 0;
+                    any_closed = true;
+                    log_drop(drop_log, peer_id, "proto");
+                    break;
                 }
-                Err(_) => {
-                    self.crc_drops += 1;
-                    self.crc_drop_bytes += len as u64;
+                if p.rbuf.len() - off - 4 < len {
+                    break;
                 }
+                let frame_bytes = &p.rbuf[off + 4..off + 4 + len];
+                match decode_frame(frame_bytes) {
+                    Ok(frame) => {
+                        p.tcp_bytes_in += frame.payload.len() as u64;
+                        inbox.push_back(Delivery {
+                            from: peer_id,
+                            class: frame.header.class,
+                            iter: frame.header.iter,
+                            payload: frame.payload,
+                        });
+                    }
+                    Err(_) => {
+                        *crc_drops += 1;
+                        *crc_drop_bytes += len as u64;
+                    }
+                }
+                off += 4 + len;
             }
-            off += 4 + len;
+            if off > 0 {
+                p.rbuf.drain(..off);
+            }
         }
-        if off > 0 {
-            p.rbuf.drain(..off);
+        any_closed
+    }
+}
+
+fn log_drop(log: &mut Vec<(PeerId, &'static str)>, peer: PeerId, kind: &'static str) {
+    if log.len() < MAX_DROP_LOG {
+        log.push((peer, kind));
+    }
+}
+
+/// `write_all` for a non-blocking stream: a full send buffer is retried
+/// after a [`POLL_NAP`], so the call returns only once the kernel holds
+/// every byte, as a blocking write would.
+fn write_all_retrying(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(POLL_NAP),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
+    Ok(())
 }
 
 impl Transport for SocketTransport {
@@ -396,7 +453,14 @@ impl Transport for SocketTransport {
                     iter,
                 };
                 let frame = encode_frame(&header, payload);
-                self.udp.send_to(&frame, addr)?;
+                loop {
+                    match self.udp.send_to(&frame, addr) {
+                        Ok(_) => break,
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(POLL_NAP),
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e.into()),
+                    }
+                }
             }
             FrameClass::Reliable => {
                 // TCP already guarantees ordered exactly-once bytes;
@@ -412,9 +476,8 @@ impl Transport for SocketTransport {
                 let frame = encode_frame(&header, payload);
                 let stream = p.tcp.as_mut().ok_or(TransportError::NotConnected(to))?;
                 let len = frame.len() as u32;
-                let res = stream
-                    .write_all(&len.to_le_bytes())
-                    .and_then(|()| stream.write_all(&frame));
+                let res = write_all_retrying(stream, &len.to_le_bytes())
+                    .and_then(|()| write_all_retrying(stream, &frame));
                 if let Err(e) = res {
                     p.tcp = None;
                     return Err(e.into());
@@ -424,30 +487,21 @@ impl Transport for SocketTransport {
         Ok(())
     }
 
+    /// Returns as soon as a drain of both lanes delivered something or
+    /// closed a reliable lane, else once `budget` wall seconds have
+    /// passed (a zero budget drains once and never sleeps). Idle time
+    /// is spent in naps of at most 250 µs, so the deadline is kept to
+    /// within one nap.
     fn poll(&mut self, budget: f64) -> Result<Vec<Delivery>, TransportError> {
         let deadline = Instant::now() + Duration::from_secs_f64(budget.clamp(0.0, 3600.0));
-        let peer_ids: Vec<PeerId> = self.peers.keys().copied().collect();
         loop {
-            // Best-effort lane: block briefly so idle polls don't spin.
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let wait = remaining.min(Duration::from_millis(2));
-            self.udp
-                .set_read_timeout(Some(wait.max(Duration::from_micros(500))))?;
-            match self.udp.recv_from(&mut self.scratch) {
-                Ok((n, from)) => self.handle_datagram(n, from),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-            // Reliable lanes. A broken stream quarantines that peer
-            // inside `drain_tcp`; only the shared UDP socket erring
-            // (above) fails the poll.
-            for &id in &peer_ids {
-                self.drain_tcp(id);
-            }
-            if Instant::now() >= deadline || !self.inbox.is_empty() {
+            self.drain_udp()?;
+            let closed = self.drain_tcp();
+            let now = Instant::now();
+            if closed || now >= deadline || !self.inbox.is_empty() {
                 break;
             }
+            thread::sleep((deadline - now).min(POLL_NAP));
         }
         Ok(self.inbox.drain(..).collect())
     }
@@ -752,6 +806,97 @@ mod tests {
                 .iter()
                 .any(|&(p, k)| p == 0 && k == "proto"),
             "quarantine must be journaled"
+        );
+    }
+
+    fn median(mut samples: Vec<Duration>) -> Duration {
+        samples.sort();
+        samples[samples.len() / 2]
+    }
+
+    #[test]
+    fn zero_budget_poll_never_sleeps() {
+        let (_a, mut b) = pair();
+        let samples = (0..20)
+            .map(|_| {
+                let t = Instant::now();
+                assert!(b.poll(0.0).unwrap().is_empty());
+                t.elapsed()
+            })
+            .collect();
+        let m = median(samples);
+        assert!(m < Duration::from_millis(1), "poll(0.0) took {m:?}");
+    }
+
+    #[test]
+    fn idle_poll_keeps_its_deadline() {
+        // A kernel-tick wait (`SO_RCVTIMEO`) rounds 3 ms up to whole
+        // ticks; the nap loop must land just past the deadline.
+        let (_a, mut b) = pair();
+        let samples = (0..20)
+            .map(|_| {
+                let t = Instant::now();
+                assert!(b.poll(0.003).unwrap().is_empty());
+                t.elapsed()
+            })
+            .collect();
+        let m = median(samples);
+        assert!(
+            (Duration::from_millis(3)..=Duration::from_micros(4_500)).contains(&m),
+            "poll(0.003) took {m:?}"
+        );
+    }
+
+    #[test]
+    fn reliable_frame_wakes_a_blocked_poll() {
+        // Nothing arrives on UDP: the TCP frame alone must end the
+        // wait, not the expiry of a wait parked on the UDP socket.
+        let (mut a, mut b) = pair();
+        let sender = thread::spawn(move || {
+            (0..5)
+                .map(|i| {
+                    thread::sleep(Duration::from_millis(20));
+                    let sent = Instant::now();
+                    a.send(0, FrameClass::Reliable, i, b"sync").unwrap();
+                    sent
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut woke = Vec::new();
+        while woke.len() < 5 {
+            let got = b.poll(1.0).unwrap();
+            let at = Instant::now();
+            assert!(!got.is_empty(), "poll(1.0) timed out without the frame");
+            woke.extend(got.iter().map(|_| at));
+        }
+        let sent = sender.join().unwrap();
+        let lags = sent
+            .iter()
+            .zip(&woke)
+            .map(|(s, w)| w.saturating_duration_since(*s))
+            .collect();
+        let m = median(lags);
+        assert!(
+            m < Duration::from_millis(2),
+            "reliable frame woke poll after {m:?}"
+        );
+    }
+
+    #[test]
+    fn poll_returns_when_the_peer_closes_its_stream() {
+        let (a, mut b) = pair();
+        let closer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            drop(a);
+        });
+        let t = Instant::now();
+        assert!(b.poll(1.0).unwrap().is_empty());
+        let took = t.elapsed();
+        closer.join().unwrap();
+        assert!(!b.tcp_connected(0), "a closed stream must drop the lane");
+        assert!(
+            took < Duration::from_millis(200),
+            "poll sat out {took:?} after the peer hung up"
         );
     }
 

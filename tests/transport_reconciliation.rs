@@ -33,15 +33,11 @@ fn live_cfg() -> ExperimentConfig {
     }
 }
 
-#[test]
-fn live_cluster_reconciles_with_a_sim_run() {
-    let cfg = live_cfg();
-
-    // Port 0: the OS picks a free TCP port; workers learn it from the
-    // handle after bind. Simplest race-free localhost arrangement is a
-    // fixed high port per test binary; retry a few candidates.
-    let mut outcome = None;
-    for port in [47117u16, 47217, 47317, 47417] {
+/// Runs `cfg` live: an in-process server plus one worker thread per
+/// worker, on the first of `ports` that can be listened on. Every
+/// worker must finish and make progress.
+fn run_live(cfg: &ExperimentConfig, ports: [u16; 4]) -> RunOutcome {
+    for port in ports {
         let listen = format!("127.0.0.1:{port}");
         let serve_cfg = cfg.clone();
         let serve_listen = listen.clone();
@@ -85,15 +81,20 @@ fn live_cluster_reconciles_with_a_sim_run() {
                     let w = w.expect("worker failed while server succeeded");
                     assert!(w.metrics.mean_iterations > 0.0, "worker made no progress");
                 }
-                outcome = Some(out);
-                break;
+                return out;
             }
             // Port in use (parallel test runs): try the next one.
             Err(e) if e.contains("cannot listen") => continue,
             Err(e) => panic!("serve failed: {e}"),
         }
     }
-    let live = outcome.expect("no free localhost port for the smoke test");
+    panic!("no free localhost port among {ports:?}");
+}
+
+#[test]
+fn live_cluster_reconciles_with_a_sim_run() {
+    let cfg = live_cfg();
+    let live = run_live(&cfg, [47117, 47217, 47317, 47417]);
 
     // Progress: both workers iterated and checkpoints were recorded.
     assert!(
@@ -228,6 +229,31 @@ fn stray_connections_do_not_abort_the_join_phase() {
     assert!(
         live.metrics.mean_iterations >= 1.0,
         "cluster made no progress after rejecting the stray: {} mean iterations",
+        live.metrics.mean_iterations
+    );
+}
+
+/// Live pacing keeps the configured compute budget: a worker waits out
+/// `compute_secs / speedup` wall seconds per iteration, so the virtual
+/// compute span per iteration must match the configured mean instead
+/// of being stretched by a coarse wait primitive (kernel-tick socket
+/// timeouts once stretched it by about a third).
+#[test]
+fn live_compute_spans_keep_the_paced_budget() {
+    let cfg = ExperimentConfig {
+        n_workers: 1,
+        ..live_cfg()
+    };
+    let live = run_live(&cfg, [47917, 48017, 48117, 48217]);
+    // Jitter is zero-mean, so the configured mean is base + codec.
+    let budget = cfg.base_compute_secs() * cfg.batch_scale + cfg.codec_secs();
+    // `composition.compute` is already normalised per iteration.
+    let per_iter = live.metrics.composition.compute;
+    let ratio = per_iter / budget;
+    assert!(
+        ratio <= 1.10,
+        "live compute per iteration {per_iter:.3} s overshoots the {budget:.3} s budget \
+         (ratio {ratio:.2} over {} iterations)",
         live.metrics.mean_iterations
     );
 }
